@@ -5,7 +5,8 @@
 Run it only at a commit whose outputs are trusted; the benchmark then
 holds every later commit to them.  Residual and discrepancy references are
 the CLI's own CSV output; log_L references are log_lcm_exact values at full
-double precision, for every n a workload or a layer probe computes.
+double precision, for every n a workload, its set-up runs or a layer probe
+computes.
 
 Before writing, the references are cross-checked once:
 
@@ -49,8 +50,10 @@ def main() -> int:
 
     ns: set[int] = set()
     for name, wl in run.WORKLOADS.items():
-        for variant in wl.variants:
-            ns.add(run.trace_inputs(name, wl.variants.index(variant))[0])
+        ns.update(run.trace_inputs(name, index)[0] for index in range(len(wl.variants)))
+        if wl.command == "lcm":
+            ns.add(int(wl.small))
+        for variant in (*wl.variants, wl.small):
             if wl.command == "residuals":
                 rows = [line.split(",") for line in cli_csv_lines(wl.argv(variant))]
                 refs["residuals"][variant] = [[int(r[0]), r[1], r[3]] for r in rows]

@@ -6,8 +6,11 @@ The probe imports quadlcm cold, wraps the module-level functions that mark
 layer boundaries in span recorders, makes one call and prints one JSON line
 {"spans": [...], "values": {...}} on stdout.  Span times come from
 perf_counter_ns, which on Linux is CLOCK_MONOTONIC and so comparable across
-the processes of one traced run.  Only coarse functions are wrapped (a few
-hundred calls at most per probe), so the wrappers cost no measurable time.
+the processes of one traced run.  Spans wrap coarse functions only (a few
+hundred calls at most per probe), so they cost no measurable time.  The one
+fine-grained timer, around each root lift in the serial lcm probe, adds
+about 0.4 us to each of ~1e6 calls at n = 1e7: some 3% of that run, which
+orders.lcm_serial_s and orders.pool_speedup include.
 """
 
 from __future__ import annotations
@@ -76,10 +79,34 @@ def probe_roots(tr: Tracer, spec: dict) -> dict:
 def probe_lcm(tr: Tracer, spec: dict) -> dict:
     tr.wrap(orders, "log_P", "orders.log_P")
     tr.wrap(orders, "_correction_partials", "orders.correction")
+    values: dict = {}
+    if spec["workers"] == 1:
+        # Layer boundaries inside the serial correction pass, so that its
+        # own time can be told from the sieve's and the roots'.  Pool
+        # workers are other processes, so only the serial run is split.
+        values["roots_in_lcm_s"] = 0.0
+        sieve, lifted_root = orders.iter_primes, orders._lifted_root
+        clock = time.perf_counter_ns
+
+        def traced_primes(lo, hi, *args):
+            # one span per prime window (ten at n = 1e7): the window is
+            # sieved in full inside the span, then handed out as a list
+            with tr.span("primes.window"):
+                return iter(list(sieve(lo, hi, *args)))
+
+        def traced_root(p, a):
+            # ~1e6 calls at n = 1e7: summed, not one span each
+            t0 = clock()
+            nu = lifted_root(p, a)
+            values["roots_in_lcm_s"] += (clock() - t0) / 1e9
+            return nu
+
+        orders.iter_primes, orders._lifted_root = traced_primes, traced_root
     name = "orders.lcm_serial" if spec["workers"] == 1 else "orders.lcm_pool"
     with tr.span(name):
         ev = orders.log_lcm_exact(spec["n"], workers=spec["workers"])
-    return {"log_L": ev.log_L}
+    values["log_L"] = ev.log_L
+    return values
 
 
 def probe_residuals(tr: Tracer, spec: dict) -> dict:

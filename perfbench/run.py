@@ -1,6 +1,6 @@
-"""quadlcm benchmark: three CLI workloads, end-to-end and per-layer metrics.
+"""quadlcm benchmark: CLI workloads, end-to-end and per-layer metrics.
 
-    python3 perfbench/run.py --workload lcm-1e7 --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload lcm-1e7 --seed 1 --seconds 55 --trace 0
 
 Run from the root of a source checkout; the package is imported from
 ./src, nothing needs installing.  With --trace 0 the workload's CLI command
@@ -16,13 +16,18 @@ End-to-end metrics, medians over the repetitions that passed:
 * cpu_s        user+sys of the child and its pool workers (os.wait4);
 * peak_rss_mb  ru_maxrss from the same wait4 (the largest of the CLI
                process and its workers);
-* setup_s      wall_s minus the compute and write phases of the CLI's own
-               manifest: interpreter start, imports, parsing and exit.
+* setup_s      wall time minus the compute and write phases of the CLI's
+               own manifest: interpreter start, imports, parsing and exit.
+               None of these depends on n, so it is the median over
+               SETUP_REPS short runs of the same subcommand on a small
+               input, run before the timed window: a long repetition gives
+               one sample per several seconds, which at n = 1e7 leaves too
+               few samples for a steady median of a 0.2 s figure.
 
-A repetition fails when it exits non-zero, times out or writes output that
-differs from the stored reference (references.json).  fail_frac, failed
-over attempted, is printed on its own line and carried by the final JSON's
-`failed` and `attempted`.
+A run, short or timed, fails when it exits non-zero, times out or writes
+output that differs in any row from the stored reference (references.json).
+fail_frac, failed over attempted, is printed on its own line and carried by
+the final JSON's `failed` and `attempted`.
 
 With --trace 1 each layer is called once, each call in a fresh interpreter
 (probe.py), on the same inputs; spans are gathered in memory and written to
@@ -49,6 +54,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent
@@ -60,6 +66,7 @@ REFERENCES = BENCH / "references.json"
 POOL_WORKERS = 2
 # Every run must end within 180 s: stop starting repetitions well before.
 RUN_BUDGET_S = 150.0
+SETUP_REPS = 7
 REL_TOL_LOG_L = 1e-12
 ABS_TOL_R = 1e-6
 
@@ -68,6 +75,8 @@ ABS_TOL_R = 1e-6
 class Workload:
     command: str
     variants: tuple[str, ...]
+    # the small input of the set-up runs
+    small: str
 
     def argv(self, variant: str) -> list[str]:
         if self.command == "lcm":
@@ -77,18 +86,31 @@ class Workload:
         return ["discrepancy", "--grid", variant]
 
 
-# Why each workload is in the benchmark is stated in BENCHMARK.json.  The
-# variants of one workload cost the same to within a fraction of a percent,
-# so runs with different seeds measure the same work.
+# Why a workload is in the benchmark is stated in BENCHMARK.json, which
+# lists lcm-1e7 and residuals-1e6.  discrepancy-1e6 runs the same way when
+# asked for, but is not listed: on a shared 2-vCPU host run values follow
+# the host's speed, which drifts over minutes, so every listed workload
+# needs long runs, and two fit the time a full set of checked runs may
+# take.  Its layers are still measured in every traced run.
+#
+# The largest n, which sets the cost, differs by at most 0.3% between the
+# variants of one workload, so runs with different seeds measure the same
+# work.  The discrepancy variants after the first start near 1000, since
+# a start near 100 cannot move the top point by less than 1%; the extra
+# point n = 100 of the first variant costs far under 1% of a run.
 WORKLOADS = {
     "lcm-1e7": Workload(
-        "lcm", ("10000000", "9999991", "10000019", "9999973")
+        "lcm", ("10000000", "9999991", "10000019", "9999973"), "1000"
     ),
     "residuals-1e6": Workload(
-        "residuals", ("1000:1000000:10", "1001:1001000:10", "999:999000:10", "1003:1003000:10")
+        "residuals",
+        ("1000:1000000:10", "1001:1001000:10", "999:999000:10", "1003:1003000:10"),
+        "10:1000:10",
     ),
     "discrepancy-1e6": Workload(
-        "discrepancy", ("100:1000000:10", "101:1010000:10", "99:990000:10", "103:1030000:10")
+        "discrepancy",
+        ("100:1000000:10", "1001:1001000:10", "999:999000:10", "1003:1003000:10"),
+        "10:1000:10",
     ),
 }
 
@@ -123,41 +145,50 @@ def close_rel(a: float, b: float, tol: float) -> bool:
 
 
 def check_output(refs: dict, wl: Workload, variant: str, out: Path) -> str | None:
-    """None when the output file matches the stored reference, else why not."""
+    """None when the output file matches the stored reference in full, else
+    why not.  Missing, extra or unreadable rows are failures."""
     if not out.exists():
         return "no output file"
     text = out.read_text(encoding="utf-8")
-    if wl.command == "lcm":
-        got = json.loads(text)["log_L"]
-        want = refs["log_L"][variant]
-        return None if close_rel(got, want, REL_TOL_LOG_L) else f"log_L {got!r} != {want!r}"
-    lines = text.splitlines()
-    if wl.command == "residuals":
-        rows = [line.split(",") for line in lines[1:]]
-        return check_residual_rows(
-            refs, variant, [[int(r[0]), r[1], r[3]] for r in rows]
-        )
-    return check_discrepancy_lines(refs, variant, lines[1:])
+    try:
+        if wl.command == "lcm":
+            got = json.loads(text)["log_L"]
+            want = refs["log_L"][variant]
+            return None if close_rel(got, want, REL_TOL_LOG_L) else f"log_L {got!r} != {want!r}"
+        lines = text.splitlines()[1:]
+        if wl.command == "residuals":
+            rows = [line.split(",") for line in lines]
+            return check_residual_rows(
+                refs["residuals"][variant], [[int(r[0]), r[1], r[3]] for r in rows]
+            )
+    except (ArithmeticError, ValueError, KeyError, IndexError, TypeError) as exc:
+        return f"unreadable output: {exc!r}"
+    return check_discrepancy_lines(refs["discrepancy"][variant], lines)
 
 
-def check_residual_rows(refs: dict, grid: str, rows: list) -> str | None:
-    want = refs["residuals"][grid]
+def printed_unit(text: str) -> Decimal:
+    """One unit in the last digit of a printed number ("13746601.2593" -> 1e-4)."""
+    return Decimal(1).scaleb(Decimal(text).as_tuple().exponent)
+
+
+def check_residual_rows(want: list, rows: list) -> str | None:
+    """rows and want are [n, log_L, r] with log_L and r as the CSV prints
+    them.  The CSV keeps 12 significant digits, too few to show a relative
+    1e-12, and two renderings of values a few ulps apart can differ by one
+    unit in the last digit; so log_L may differ by that unit at most."""
     if [r[0] for r in rows] != [w[0] for w in want]:
         return f"residual grid {[r[0] for r in rows]} != {[w[0] for w in want]}"
     for (n, log_l, r), (_, want_log_l, want_r) in zip(rows, want):
-        if not close_rel(float(log_l), float(want_log_l), REL_TOL_LOG_L):
+        if abs(Decimal(log_l) - Decimal(want_log_l)) > printed_unit(want_log_l):
             return f"n={n}: log_L {log_l} != {want_log_l}"
         if abs(float(r) - float(want_r)) > ABS_TOL_R:
             return f"n={n}: r {r} != {want_r}"
     return None
 
 
-def check_discrepancy_lines(refs: dict, grid: str, lines: list[str]) -> str | None:
-    want = refs["discrepancy"][grid]
-    if len(lines) < len(want):
-        # a probe may run only the top grid point; match rows by n
-        by_n = {w.split(",")[0]: w for w in want}
-        want = [by_n.get(line.split(",")[0]) for line in lines]
+def check_discrepancy_lines(want: list[str], lines: list[str]) -> str | None:
+    """The CSV data rows must equal the reference rows exactly, D and the
+    witness fractions included."""
     return None if lines == want else f"discrepancy rows {lines} != {want}"
 
 
@@ -234,11 +265,19 @@ def out_path(workload: str, tag: str) -> Path:
     return OUT / f"{workload}-{tag}{suffix}"
 
 
+def checked_run(name: str, variant: str, tag: str, refs: dict, timeout: float) -> Rep:
+    wl = WORKLOADS[name]
+    out = out_path(name, tag)
+    rep = run_cli(wl.argv(variant), out, timeout)
+    if rep.error is None:
+        rep.error = check_output(refs, wl, variant, out)
+    return rep
+
+
 def timed_reps(name: str, variant: str, seconds: float, refs: dict) -> list[Rep]:
     """Repeat the workload's CLI run for about `seconds`: another
     repetition starts while it should end less than half a repetition past
     the mark, so run length stays near `seconds` for every workload."""
-    wl = WORKLOADS[name]
     start = time.perf_counter()
     reps: list[Rep] = []
     while True:
@@ -247,38 +286,39 @@ def timed_reps(name: str, variant: str, seconds: float, refs: dict) -> list[Rep]
             typical = statistics.median(r.wall_s for r in reps)
             if elapsed + typical / 2 > seconds or elapsed + 1.5 * typical > RUN_BUDGET_S:
                 break
-        out = out_path(name, str(len(reps)))
-        rep = run_cli(wl.argv(variant), out, RUN_BUDGET_S + 20.0 - elapsed)
-        if rep.error is None:
-            rep.error = check_output(refs, wl, variant, out)
-        reps.append(rep)
+        reps.append(checked_run(name, variant, str(len(reps)), refs, RUN_BUDGET_S + 20.0 - elapsed))
     return reps
 
 
 def measure(name: str, variant: str, seconds: float, refs: dict) -> dict:
+    small = WORKLOADS[name].small
+    setups = [checked_run(name, small, f"setup{i}", refs, 60.0) for i in range(SETUP_REPS)]
     reps = timed_reps(name, variant, seconds, refs)
-    for i, rep in enumerate(reps):
-        print(
-            f"rep {i} pid={rep.pid} wall_s={rep.wall_s:.4f} cpu_s={rep.cpu_s:.4f} "
-            f"peak_rss_mb={rep.peak_rss_mb:.1f} setup_s={rep.setup_s:.4f} "
-            f"{'ok' if rep.error is None else 'FAIL ' + rep.error}"
-        )
-    pids = [r.pid for r in reps]
+    for kind, runs in (("setup", setups), ("rep", reps)):
+        for i, rep in enumerate(runs):
+            print(
+                f"{kind} {i} pid={rep.pid} wall_s={rep.wall_s:.4f} cpu_s={rep.cpu_s:.4f} "
+                f"peak_rss_mb={rep.peak_rss_mb:.1f} setup_s={rep.setup_s:.4f} "
+                f"{'ok' if rep.error is None else 'FAIL ' + rep.error}"
+            )
+    runs = setups + reps
+    pids = [r.pid for r in runs]
     distinct = len(set(pids)) == len(pids)
     if not distinct:
-        print(f"FAIL repetitions shared a process: pids {pids}")
+        print(f"FAIL runs shared a process: pids {pids}")
+    failed = sum(r.error is not None for r in runs)
+    print(f"fail_frac={failed / len(runs):.4f} ({failed}/{len(runs)})")
     good = [r for r in reps if r.error is None] or reps
-    failed = sum(r.error is not None for r in reps)
-    print(f"fail_frac={failed / len(reps):.4f} ({failed}/{len(reps)})")
+    good_setups = [r for r in setups if r.error is None] or setups
     metrics = {
         "wall_s": (statistics.median(r.wall_s for r in good), "s"),
         "cpu_s": (statistics.median(r.cpu_s for r in good), "s"),
         "peak_rss_mb": (statistics.median(r.peak_rss_mb for r in good), "MB"),
-        "setup_s": (statistics.median(r.setup_s for r in good), "s"),
+        "setup_s": (statistics.median(r.setup_s for r in good_setups), "s"),
     }
     return {
         "correct": failed == 0 and distinct,
-        "attempted": len(reps),
+        "attempted": len(runs),
         "failed": failed,
         "metrics": metrics,
     }
@@ -323,18 +363,9 @@ class SpanLog:
             if s["parent"] == span["id"] and (name is None or s["name"] == name)
         ]
 
-    def self_time(self, span: dict) -> float:
-        return self.duration(span) - sum(self.duration(s) for s in self.children(span))
-
     def explained(self, root: dict) -> float:
-        """Share of root's time that the self times of its descendants cover."""
-        stack = self.children(root)
-        covered = 0.0
-        while stack:
-            s = stack.pop()
-            covered += self.self_time(s)
-            stack.extend(self.children(s))
-        return covered / self.duration(root)
+        """Share of root's time that its child spans cover."""
+        return sum(self.duration(s) for s in self.children(root)) / self.duration(root)
 
 
 def run_probe(log: SpanLog, root: int, spec: dict) -> dict:
@@ -404,10 +435,16 @@ def traced(name: str, index: int, refs: dict) -> dict:
         if close_rel(serial["log_L"], want_log_l, REL_TOL_LOG_L)
         else f"{serial['log_L']!r} != {want_log_l!r}",
         "residual rows match the reference": check_residual_rows(
-            refs, WORKLOADS["residuals-1e6"].variants[index], resid["rows"]
+            refs["residuals"][WORKLOADS["residuals-1e6"].variants[index]], resid["rows"]
         ),
+        # the probe may run only the top grid point: compare those rows
         "discrepancy rows match the reference": check_discrepancy_lines(
-            refs, WORKLOADS["discrepancy-1e6"].variants[index], disc["csv_lines"]
+            [
+                row
+                for row in refs["discrepancy"][WORKLOADS["discrepancy-1e6"].variants[index]]
+                if int(row.split(",")[0]) in disc_grid
+            ],
+            disc["csv_lines"],
         ),
         "CLI run matches the reference": rep.error or check_output(refs, wl, variant, out),
     }
@@ -419,9 +456,18 @@ def traced(name: str, index: int, refs: dict) -> dict:
     serial_s = log.duration(serial_span)
     (log_p_span,) = log.children(serial_span, "orders.log_P")
     log_p_s = log.duration(log_p_span)
+    # the correction pass's own time: its span less the sieve windows and
+    # root lifts timed inside it, all in the one serial process
+    (correction_span,) = log.children(serial_span, "orders.correction")
+    correction_self_s = (
+        log.duration(correction_span)
+        - sum(log.duration(s) for s in log.children(correction_span, "primes.window"))
+        - serial["roots_in_lcm_s"]
+    )
     speedup = serial_s / log.total("orders.lcm_pool")
-    # the traced serial computation of this workload, whose time the layer
-    # self times should account for
+    # the traced serial computation of this workload; explained_frac is the
+    # share of it inside its child layer spans, near 1 since those wrap
+    # whole functions: it shows only time spent in the glue between them
     (serial_root,) = log.named(
         {
             "lcm": "orders.lcm_serial",
@@ -437,9 +483,7 @@ def traced(name: str, index: int, refs: dict) -> dict:
         "roots.us_per_root": (1e6 * sqrt_s / roots["count"], "us"),
         "orders.log_P_s": (log_p_s, "s"),
         "orders.lcm_serial_s": (serial_s, "s"),
-        # a difference of separately timed calls: near n = 1e6 run-to-run
-        # noise in the terms can exceed it and make it read negative
-        "orders.correction_self_s": (serial_s - log_p_s - sqrt_s - sieve_s, "s"),
+        "orders.correction_self_s": (correction_self_s, "s"),
         "orders.pool_speedup": (speedup, "x"),
         "orders.pool_efficiency": (speedup / POOL_WORKERS, "frac"),
         # at the top grid point, the n the sample size belongs to

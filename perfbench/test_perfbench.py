@@ -11,7 +11,7 @@ import run
 def tiny_workload(monkeypatch, tmp_path):
     monkeypatch.setattr(run, "OUT", tmp_path)
     (tmp_path / "tmp").mkdir()
-    monkeypatch.setitem(run.WORKLOADS, "tiny", run.Workload("lcm", ("100",)))
+    monkeypatch.setitem(run.WORKLOADS, "tiny", run.Workload("lcm", ("100",), "100"))
     from quadlcm.orders import log_lcm_exact
 
     return {"log_L": {"100": log_lcm_exact(100).log_L}}
@@ -39,15 +39,37 @@ def test_wrong_output_counts_as_failure(monkeypatch, tmp_path):
 
 def test_row_checks_use_the_stated_tolerances():
     refs = run.load_references()
-    grid = run.WORKLOADS["residuals-1e6"].variants[0]
-    rows = [list(r) for r in refs["residuals"][grid]]
-    assert run.check_residual_rows(refs, grid, rows) is None
+    want = refs["residuals"][run.WORKLOADS["residuals-1e6"].variants[0]]
+    rows = [list(r) for r in want]
+    assert run.check_residual_rows(want, rows) is None
+    # "13746601.2593": one unit in the last printed digit is 1e-4
+    top = float(want[-1][1])
+    rows[-1][1] = f"{top + 1e-4:.12g}"
+    assert run.check_residual_rows(want, rows) is None
+    rows[-1][1] = f"{top + 2e-4:.12g}"
+    assert run.check_residual_rows(want, rows) is not None
+    rows = [list(r) for r in want]
     rows[-1][2] = repr(float(rows[-1][2]) + 2e-6)
-    assert run.check_residual_rows(refs, grid, rows) is not None
+    assert run.check_residual_rows(want, rows) is not None
 
-    grid = run.WORKLOADS["discrepancy-1e6"].variants[0]
-    lines = list(refs["discrepancy"][grid])
-    assert run.check_discrepancy_lines(refs, grid, lines) is None
-    assert run.check_discrepancy_lines(refs, grid, lines[-1:]) is None
+
+def test_missing_or_changed_rows_count_as_failures(tmp_path):
+    refs = run.load_references()
+    out = tmp_path / "out.csv"
+    for name, header in (("discrepancy-1e6", "n,D"), ("residuals-1e6", "n,log_L,B,r")):
+        wl = run.WORKLOADS[name]
+        variant = wl.variants[0]
+        if wl.command == "discrepancy":
+            lines = list(refs["discrepancy"][variant])
+        else:
+            lines = [f"{n},{log_l},0,{r}" for n, log_l, r in refs["residuals"][variant]]
+        out.write_text("\n".join([header, *lines]) + "\n")
+        assert run.check_output(refs, wl, variant, out) is None
+        for bad in (lines[:-1], lines[-1:], [], lines[:-1] + ["garbage"]):
+            out.write_text("\n".join([header, *bad]) + "\n")
+            assert run.check_output(refs, wl, variant, out) is not None, (name, bad)
+    wl = run.WORKLOADS["discrepancy-1e6"]
+    lines = list(refs["discrepancy"][wl.variants[0]])
     lines[-1] = lines[-1].replace(",", ",9", 1)
-    assert run.check_discrepancy_lines(refs, grid, lines) is not None
+    out.write_text("\n".join(["n,D", *lines]) + "\n")
+    assert run.check_output(refs, wl, wl.variants[0], out) is not None
