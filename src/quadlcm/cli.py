@@ -29,9 +29,8 @@ from . import __version__, asymptotics, discrepancy, orders, primes
 from .errors import OracleCapError, QuadlcmError, RangeOverflowError
 from .reports import RunManifest, format_value, render_csv, render_json, write_report
 from .roots import root_stream
+from .summation import GAMMA_DD
 from .verify import run_verify
-
-GAMMA = 0.5772156649015329
 
 
 class UsageError(QuadlcmError, ValueError):
@@ -290,7 +289,7 @@ def cmd_mertens(args) -> int:
     rows = []
     for x in grid:
         value = asymptotics.mertens_log_sum(x)
-        reference = math.log(x / 2.0) - GAMMA
+        reference = math.log(x / 2.0) - GAMMA_DD[0]
         rows.append((x, value, reference, value - reference))
     wall = {"compute": time.perf_counter() - t0}
     _emit_table(args, "mertens", ("x", "sum", "reference", "deviation"), rows, wall)

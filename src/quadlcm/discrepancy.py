@@ -18,8 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Protocol
 
 from .errors import EmptySampleError, InvalidRangeError
-from .primes import iter_primes, pi1_range
-from .roots import _sqrt_minus_one_value
+from .roots import prime_roots
 from .summation import KahanSum
 
 
@@ -74,12 +73,11 @@ def collect_fractions(n: int) -> FractionSample:
         raise EmptySampleError(f"no primes up to {n}, sample undefined")
     pts: list[Fraction] = []
     pi = 0
-    for p in iter_primes(0, n):
+    for p, nu in prime_roots(0, n):
         pi += 1
         if p == 2:
             pts.append(Fraction(1, 2))
-        elif p % 4 == 1:
-            nu = _sqrt_minus_one_value(p)
+        elif nu:
             pts.append(Fraction(nu, p))
             pts.append(Fraction(p - nu, p))
     pts.sort()
@@ -259,12 +257,11 @@ def equidistribution_sum(
         raise InvalidRangeError(f"empty window: ({lo}, {hi}]")
     acc = KahanSum()
     pi1 = 0
-    for p in iter_primes(lo, hi):
+    for p, nu in prime_roots(lo, hi):
         if p == 2:
             acc.add(float(g(Fraction(1, 2))))
-        elif p % 4 == 1:
+        elif nu:
             pi1 += 1
-            nu = _sqrt_minus_one_value(p)
             pair = g(Fraction(nu, p)) + g(Fraction(p - nu, p))
             acc.add(float(pair))
     prediction = float(2 * pi1 * g.integral())
@@ -281,11 +278,10 @@ def centered_fraction_sum(n: int) -> float:
     if n < 1:
         raise InvalidRangeError("centered_fraction_sum needs n >= 1")
     acc = KahanSum()
-    for p in iter_primes(0, 2 * n):
+    for p, nu in prime_roots(0, 2 * n):
         if p == 2:
             acc.add(0.5 - ((n - 1) % 2) * 0.5)
-        elif p % 4 == 1:
-            nu = _sqrt_minus_one_value(p)
+        elif nu:
             r1 = (n - nu) % p
             r2 = (n + nu) % p
             acc.add((p - r1 - r2) / p)

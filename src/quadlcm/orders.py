@@ -30,8 +30,8 @@ from multiprocessing import Pool
 from typing import Callable, Sequence
 
 from .errors import InvalidRangeError, OracleCapError
-from .primes import DEFAULT_SEGMENT, iter_primes
-from .roots import _lifted_root, roots_mod_prime_power
+from .primes import DEFAULT_SEGMENT, iter_primes, require_prime
+from .roots import _lifted_root, lift_root, prime_roots, roots_mod_prime_power
 from .summation import KahanSum, log_of_bigint
 
 ORACLE_CAP_DEFAULT = 5_000
@@ -138,50 +138,32 @@ def _order_counts(p: int, n: int) -> tuple[int, int, int]:
 
 def alpha_exact(p: int, n: int) -> int:
     """Order of p in the product of i²+1 over 1 ≤ i ≤ n."""
-    if n < 1:
-        raise InvalidRangeError("alpha_exact needs n >= 1")
-    if p == 2:
-        # exactly the odd i contribute, each a single factor of 2
-        return (n + 1) // 2
-    if p % 4 == 3:
-        return 0
-    return _order_counts(p, n)[0]
+    return order_profile(p, n).alpha
 
 
 def beta_exact(p: int, n: int) -> int:
     """Order of p in lcm(i²+1 : 1 ≤ i ≤ n): the largest a whose smallest
     root does not exceed n."""
-    if n < 1:
-        raise InvalidRangeError("beta_exact needs n >= 1")
-    if p == 2:
-        return 1
-    if p % 4 == 3:
-        return 0
-    return _order_counts(p, n)[1]
+    return order_profile(p, n).beta
 
 
 def alpha_star(p: int, n: int) -> int:
     """Count of i ≤ n with p | i²+1."""
-    if n < 1:
-        raise InvalidRangeError("alpha_star needs n >= 1")
-    if p == 2:
-        return (n + 1) // 2
-    if p % 4 == 3:
-        return 0
-    return count_solutions_upto(p, 1, n)
+    return order_profile(p, n).alpha_star
 
 
 def beta_star(p: int, n: int) -> int:
     """1 when p admits a root and some i ≤ n realizes it, else 0."""
-    if p == 2 or p % 4 == 1:
-        return 1 if alpha_star(p, n) >= 1 else 0
-    return 0
+    return order_profile(p, n).beta_star
 
 
 def order_profile(p: int, n: int) -> OrderProfile:
+    """All four orders of a prime p at bound n ≥ 1."""
+    require_prime(p)
     if n < 1:
         raise InvalidRangeError("order_profile needs n >= 1")
     if p == 2:
+        # exactly the odd i contribute, each a single factor of 2
         odd = (n + 1) // 2
         return OrderProfile(p=2, n=n, alpha=odd, beta=1, alpha_star=odd, beta_star=1)
     if p % 4 == 3:
@@ -322,21 +304,17 @@ def square_divisor_primes(n: int) -> list[int]:
     """Medium-window primes whose square divides some i²+1 with i ≤ n.
 
     These are exactly the p ≡ 1 mod 4 with n^(2/3) ≤ p ≤ 2n whose
-    smallest level-2 root is ≤ n; ascending.  Primes above sqrt(n²+1)
-    are skipped outright since p² cannot divide any i²+1 then.
+    smallest level-2 root is ≤ n; ascending.  Only p ≤ n can qualify:
+    p² must not exceed n²+1, and (n+1)² already does.
     """
     if n < 1:
         raise InvalidRangeError("square_divisor_primes needs n >= 1")
     nn = n * n
-    out: list[int] = []
-    for p in iter_primes(1, 2 * n):
-        if p % 4 != 1 or p * p * p < nn:
-            continue
-        if p * p > nn + 1:
-            continue
-        if _lifted_root(p, 2) <= n:
-            out.append(p)
-    return out
+    return [
+        p
+        for p, nu in prime_roots(1, n)
+        if p % 4 == 1 and p * p * p >= nn and lift_root(p, nu, 2) <= n
+    ]
 
 
 def decomposition_report(n: int, workers: int = 1) -> DecompositionReport:

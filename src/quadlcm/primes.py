@@ -22,12 +22,11 @@ DEFAULT_SEGMENT = 1 << 21
 
 @dataclass(frozen=True)
 class PrimeBlock:
-    """Primes in a half-open window (lo, hi] with their classes mod 4."""
+    """Primes in a half-open window (lo, hi]."""
 
     lo: int
     hi: int
     primes: tuple[int, ...]
-    residue_tags: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -103,13 +102,45 @@ def iter_primes(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> Iterator[in
 
 
 def sieve_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> PrimeBlock:
-    """Materialize the primes in (lo, hi] together with residue tags mod 4.
+    """Materialize the primes in (lo, hi]."""
+    return PrimeBlock(lo=lo, hi=hi, primes=tuple(iter_primes(lo, hi, segment)))
 
-    The tag is p mod 4 for odd p (so 1 or 3) and the literal 2 for p = 2.
-    """
-    primes = tuple(iter_primes(lo, hi, segment))
-    tags = {p: (2 if p == 2 else p % 4) for p in primes}
-    return PrimeBlock(lo=lo, hi=hi, primes=primes, residue_tags=tags)
+
+# exact below 3317044064679887385961981 (Sorenson & Webster 2015); without
+# 41 only below 318665857834031151167461.  The first four alone are exact
+# below 3215031751, the least strong pseudoprime to all of them (Jaeschke).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3.3·10²⁴; for one outside p."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for q in _MR_BASES if n >= 3215031751 else _MR_BASES[:4]:
+        x = pow(q, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def require_prime(p: int) -> None:
+    """Raise InvalidRangeError unless p is prime."""
+    if not is_prime(p):
+        raise InvalidRangeError(f"p = {p} is not a prime")
 
 
 def prime_counts(n: int) -> PrimeCounts:

@@ -3,17 +3,22 @@
 Only p = 2 and primes p ≡ 1 mod 4 admit roots.  For odd p the two roots of
 any modulus p^a pair up as (nu, p^a − nu); for p = 2 the single root is 1
 and no lift past a = 1 exists because i²+1 is 2 mod 4 for odd i.
+
+The root mod p is the closed form c^((p−1)/4) for a quadratic non-residue c,
+whose square is −1 by Euler's criterion: c = 2 when p ≡ 5 mod 8, else the
+least non-residue, so the output is a pure function of p.  Roots mod p^a
+are Newton (Hensel) lifts of it.  Each pass visits a prime once, so nothing
+is cached.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator
 
 from .errors import InvalidRangeError, NotOneModFourError, RangeOverflowError
-from .primes import iter_primes
+from .primes import iter_primes, require_prime
 
 _MACHINE_MAX = (1 << 63) - 1
 
@@ -32,87 +37,69 @@ class RootPair:
 
 
 @dataclass(frozen=True)
-class TwoAdicRoot:
-    """The singleton root 1 of x² ≡ −1 mod 2 (a = 1 only, no lift)."""
-
-    p: int = 2
-    a: int = 1
-    nu: int = 1
-
-
-TWO_ROOT = TwoAdicRoot()
-
-
-@dataclass(frozen=True)
 class RootStreamItem:
     p: int
     nu: int
     fraction: Fraction
 
 
-@lru_cache(maxsize=65536)
 def _sqrt_minus_one_value(p: int) -> int:
-    """Smaller root of x² ≡ −1 mod p, via Tonelli-Shanks.
-
-    The non-residue is found by ascending search so the output is a pure
-    function of p.  For the target −1 the main loop shrinks the defect to
-    zero in a single pass, so the cost is a handful of modular powers.
-    """
-    # p = q * 2^s + 1 with q odd
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
-    m = s
-    c = pow(z, q, p)
-    t = pow(p - 1, q, p)
-    x = pow(p - 1, (q + 1) // 2, p)
-    while t != 1:
-        # find least i with t^(2^i) = 1
-        i = 0
-        t2 = t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m = i
-        c = b * b % p
-        t = t * c % p
-        x = x * b % p
+    """Smaller root of x² ≡ −1 mod a prime p ≡ 1 mod 4: c^((p−1)/4) for a
+    non-residue c (2 when p ≡ 5 mod 8, else the least one)."""
+    c = 2
+    if p % 8 == 1:
+        half = (p - 1) // 2
+        c = 3  # 2 is a residue mod p ≡ 1 mod 8
+        while pow(c, half, p) != p - 1:
+            c += 1
+    x = pow(c, (p - 1) // 4, p)
     return min(x, p - x)
 
 
-def sqrt_minus_one(p: int) -> RootPair:
-    """Both roots of x² ≡ −1 mod p, ascending.
+def lift_root(p: int, nu: int, a: int) -> int:
+    """Smaller root mod p^a above the root ν mod p: a − 1 Newton steps."""
+    mod = p
+    for _ in range(a - 1):
+        mod *= p
+        # Newton step on f(x) = x²+1; 2x is a unit mod p^k since p is odd
+        nu = (nu - (nu * nu + 1) * pow(2 * nu, -1, mod)) % mod
+    return min(nu, mod - nu)
 
-    Raises NotOneModFourError for p = 2 (callers must use the TWO_ROOT
-    singleton) and for p ≡ 3 mod 4 (−1 is a non-residue).
+
+def _lifted_root(p: int, a: int) -> int:
+    """Smaller root mod p^a for a prime p ≡ 1 mod 4, lifted from its root mod p."""
+    return lift_root(p, _sqrt_minus_one_value(p), a)
+
+
+def prime_roots(lo: int, hi: int) -> Iterator[tuple[int, int]]:
+    """(p, ν) for every prime p in (lo, hi], ascending, from one sieve pass.
+
+    ν is the smaller root of x² ≡ −1 mod p when p ≡ 1 mod 4 and 0 for
+    every other prime (p = 2 has the single root 1, which callers add).
+    Every consumer of the root fractions folds over this one stream.
     """
-    if p == 2 or p % 4 != 1:
+    for p in iter_primes(lo, hi):
+        yield p, _sqrt_minus_one_value(p) if p % 4 == 1 else 0
+
+
+def sqrt_minus_one(p: int) -> RootPair:
+    """Both roots of x² ≡ −1 mod a prime p, ascending.
+
+    Raises InvalidRangeError when p is not prime, and NotOneModFourError
+    for p = 2 (whose single root 1 is no pair) and for p ≡ 3 mod 4 (−1 is
+    a non-residue).
+    """
+    require_prime(p)
+    if p % 4 != 1:
         raise NotOneModFourError(f"x² ≡ −1 has no root pair mod {p}")
     nu = _sqrt_minus_one_value(p)
     return RootPair(p=p, a=1, nu1=nu, nu2=p - nu)
 
 
-@lru_cache(maxsize=65536)
-def _lifted_root(p: int, a: int) -> int:
-    """Smaller root mod p^a by Hensel's lemma, lifting one level at a time."""
-    if a == 1:
-        return _sqrt_minus_one_value(p)
-    x = _lifted_root(p, a - 1)
-    mod = p**a
-    # Newton step on f(x) = x²+1; 2x is a unit mod p^a since p is odd
-    x = (x - (x * x + 1) * pow(2 * x, -1, mod)) % mod
-    return min(x, mod - x)
-
-
 def roots_mod_prime_power(p: int, a: int) -> RootPair:
-    """Roots of x² ≡ −1 mod p^a for p ≡ 1 mod 4, a ≥ 1."""
-    if p == 2 or p % 4 != 1:
+    """Roots of x² ≡ −1 mod p^a for a prime p ≡ 1 mod 4, a ≥ 1."""
+    require_prime(p)
+    if p % 4 != 1:
         raise NotOneModFourError(f"x² ≡ −1 has no root pair mod {p}^{a}")
     if a < 1:
         raise InvalidRangeError("exponent must be at least 1")
@@ -135,14 +122,12 @@ def root_stream(lo: int, hi: int) -> Iterator[RootStreamItem]:
     """All roots 0 < nu < p over primes p in (lo, hi], ordered by (p, nu).
 
     Emits nothing for p ≡ 3 mod 4; emits the single (2, 1) for p = 2 and
-    the ascending pair for p ≡ 1 mod 4.
+    the ascending pair for p ≡ 1 mod 4.  An empty or negative window raises
+    InvalidRangeError from the sieve.
     """
-    if hi < lo:
-        raise InvalidRangeError(f"empty window: ({lo}, {hi}]")
-    for p in iter_primes(lo, hi):
+    for p, nu in prime_roots(lo, hi):
         if p == 2:
             yield RootStreamItem(p=2, nu=1, fraction=Fraction(1, 2))
-        elif p % 4 == 1:
-            nu = _sqrt_minus_one_value(p)
+        elif nu:
             yield RootStreamItem(p=p, nu=nu, fraction=Fraction(nu, p))
             yield RootStreamItem(p=p, nu=p - nu, fraction=Fraction(p - nu, p))

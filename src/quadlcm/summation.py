@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 DD = tuple[float, float]
 
@@ -46,10 +45,6 @@ class KahanSum:
         else:
             self.compensation += (x - t) + self.total
         self.total = t
-
-    def extend(self, xs: Iterable[float]) -> None:
-        for x in xs:
-            self.add(x)
 
     @property
     def value(self) -> float:
@@ -131,10 +126,6 @@ def dd_to_float(x: DD) -> float:
     return x[0] + x[1]
 
 
-def dd_abs_le(x: DD, bound: float) -> bool:
-    return abs(x[0] + x[1]) <= bound
-
-
 DD_ZERO: DD = (0.0, 0.0)
 DD_ONE: DD = (1.0, 0.0)
 
@@ -203,11 +194,6 @@ def dd_log_dyadic(num: int, denom_pow2: int = 0) -> DD:
     if k:
         out = dd_add(out, dd_mul(dd_from_int(k), LN2_DD))
     return out
-
-
-def block_fsum(terms: Iterable[float]) -> float:
-    """Exactly rounded sum of one block; building block for blocked reductions."""
-    return math.fsum(terms)
 
 
 def log_of_bigint(v: int) -> float:

@@ -19,7 +19,15 @@ from fractions import Fraction
 from . import asymptotics, discrepancy, orders, primes, roots
 from .dirichlet import neg_log_deriv_zeta
 from .errors import EmptySampleError, NotOneModFourError
-from .summation import DD_ZERO, KahanSum, dd_add, dd_sub, dd_to_float, log_of_bigint
+from .summation import (
+    DD_ZERO,
+    GAMMA_DD,
+    KahanSum,
+    dd_add,
+    dd_sub,
+    dd_to_float,
+    log_of_bigint,
+)
 
 
 @dataclass(frozen=True)
@@ -69,7 +77,11 @@ FULL = VerifyParams(
     workers_check_n=10**6,
 )
 
-GAMMA = 0.5772156649015329
+
+def _require(cond: bool, msg: str) -> None:
+    """Fail the running check with msg; unlike assert, survives python -O."""
+    if not cond:
+        raise AssertionError(msg)
 
 
 def _geometric(lo: int, hi: int, factor: int = 10) -> list[int]:
@@ -97,26 +109,25 @@ def _trial_factor(m: int, trial_limit: int) -> tuple[dict[int, int], int]:
 
 
 def check_sieve_windows(p: VerifyParams) -> str:
-    assert primes.sieve_range(0, 10).primes == (2, 3, 5, 7), "primes in (0,10]"
-    assert primes.sieve_range(10, 20).primes == (11, 13, 17, 19), "primes in (10,20]"
-    assert primes.sieve_range(1, 1).primes == (), "empty window (1,1]"
+    _require(primes.sieve_range(0, 10).primes == (2, 3, 5, 7), "primes in (0,10]")
+    _require(primes.sieve_range(10, 20).primes == (11, 13, 17, 19), "primes in (10,20]")
+    _require(primes.sieve_range(1, 1).primes == (), "empty window (1,1]")
     a, b, c = 0, 537, 1500
     seam = primes.sieve_range(a, b).primes + primes.sieve_range(b, c).primes
-    assert seam == primes.sieve_range(a, c).primes, "segmentation seam mismatch"
+    _require(seam == primes.sieve_range(a, c).primes, "segmentation seam mismatch")
     pc = primes.prime_counts(10**4)
-    assert pc.pi == len(primes.sieve_range(0, 10**4).primes), "pi vs sieve count"
-    assert primes.prime_counts(10).pi == 4 and primes.prime_counts(10).pi1 == 1
-    assert primes.prime_counts(100).pi1 == 11, "pi1(100)"
-    assert primes.prime_counts(4).pi1 == 0, "pi1(4)"
-    tags = primes.sieve_range(0, 10).residue_tags
-    assert tags == {2: 2, 3: 3, 5: 1, 7: 3}, "residue tags mod 4"
-    return "seams, counts and tags consistent"
+    _require(pc.pi == len(primes.sieve_range(0, 10**4).primes), "pi vs sieve count")
+    _require(primes.prime_counts(10).pi == 4 and primes.prime_counts(10).pi1 == 1,
+             "pi(10) and pi1(10)")
+    _require(primes.prime_counts(100).pi1 == 11, "pi1(100)")
+    _require(primes.prime_counts(4).pi1 == 0, "pi1(4)")
+    return "seams and counts consistent"
 
 
 def check_psi_oracle(p: VerifyParams) -> str:
-    assert primes.chebyshev_psi(1) == 0.0, "psi(1)"
-    assert primes.chebyshev_psi(2) == math.log(2), "psi(2)"
-    assert abs(primes.chebyshev_psi(10) - math.log(2520)) < 1e-12, "psi(10)"
+    _require(primes.chebyshev_psi(1) == 0.0, "psi(1)")
+    _require(primes.chebyshev_psi(2) == math.log(2), "psi(2)")
+    _require(abs(primes.chebyshev_psi(10) - math.log(2520)) < 1e-12, "psi(10)")
     acc = 1
     checkpoints = {10, 100, 1000, p.psi_oracle_max}
     for n in range(1, p.psi_oracle_max + 1):
@@ -124,7 +135,7 @@ def check_psi_oracle(p: VerifyParams) -> str:
         if n in checkpoints:
             want = log_of_bigint(acc)
             got = primes.chebyshev_psi(n)
-            assert abs(got - want) <= 1e-9 * want, f"psi({n}) vs integer lcm oracle"
+            _require(abs(got - want) <= 1e-9 * want, f"psi({n}) vs integer lcm oracle")
     return f"psi equals log lcm(1..n) to 1e-9 up to n={p.psi_oracle_max}"
 
 
@@ -132,32 +143,35 @@ def check_pnt_ratios(p: VerifyParams) -> str:
     for n in _geometric(10**5, p.grid_max):
         pc = primes.prime_counts(n)
         ratio = pc.pi1 * 2 * math.log(n) / n
-        assert 0.8 <= ratio <= 1.2, f"pi1 ratio {ratio:.4f} out of [0.8,1.2] at n={n}"
+        _require(0.8 <= ratio <= 1.2,
+                 f"pi1 ratio {ratio:.4f} out of [0.8,1.2] at n={n}")
         psi_ratio = primes.chebyshev_psi(n) / n
-        assert 0.9 <= psi_ratio <= 1.1, f"psi/n {psi_ratio:.4f} out of [0.9,1.1] at n={n}"
+        _require(0.9 <= psi_ratio <= 1.1,
+                 f"psi/n {psi_ratio:.4f} out of [0.9,1.1] at n={n}")
     return f"pi1 and psi ratios in range up to {p.grid_max}"
 
 
 def check_root_pairs(p: VerifyParams) -> str:
     pair5 = roots.sqrt_minus_one(5)
-    assert (pair5.nu1, pair5.nu2) == (2, 3), "roots mod 5"
+    _require((pair5.nu1, pair5.nu2) == (2, 3), "roots mod 5")
     pair13 = roots.sqrt_minus_one(13)
-    assert (pair13.nu1, pair13.nu2) == (5, 8), "roots mod 13"
+    _require((pair13.nu1, pair13.nu2) == (5, 8), "roots mod 13")
     try:
         roots.sqrt_minus_one(3)
         raise AssertionError("p=3 must refuse a root pair")
     except NotOneModFourError:
         pass
-    assert roots.roots_mod_prime_power(5, 2).as_set() == {7, 18}
-    assert roots.roots_mod_prime_power(5, 3).as_set() == {57, 68}
-    assert roots.roots_mod_prime_power(13, 2).as_set() == {70, 99}
-    assert roots.min_root(5, 1) == 2 and roots.min_root(5, 2) == 7
-    assert roots.min_root(13, 2) == 70
+    _require(roots.roots_mod_prime_power(5, 2).as_set() == {7, 18}, "roots mod 5^2")
+    _require(roots.roots_mod_prime_power(5, 3).as_set() == {57, 68}, "roots mod 5^3")
+    _require(roots.roots_mod_prime_power(13, 2).as_set() == {70, 99}, "roots mod 13^2")
+    _require(roots.min_root(5, 1) == 2 and roots.min_root(5, 2) == 7,
+             "min_root mod 5 and 5^2")
+    _require(roots.min_root(13, 2) == 70, "min_root mod 13^2")
     items = [(it.p, it.nu) for it in roots.root_stream(4, 14)]
-    assert items == [(5, 2), (5, 3), (13, 5), (13, 8)], "root_stream (4,14]"
+    _require(items == [(5, 2), (5, 3), (13, 5), (13, 8)], "root_stream (4,14]")
     items = [(it.p, it.nu) for it in roots.root_stream(1, 5)]
-    assert items == [(2, 1), (5, 2), (5, 3)], "root_stream (1,5]"
-    assert list(roots.root_stream(5, 12)) == [], "root_stream (5,12]"
+    _require(items == [(2, 1), (5, 2), (5, 3)], "root_stream (1,5]")
+    _require(list(roots.root_stream(5, 12)) == [], "root_stream (5,12]")
 
     cap = p.root_modulus_cap
     checked = 0
@@ -168,14 +182,14 @@ def check_root_pairs(p: VerifyParams) -> str:
         qa = q
         while qa <= cap:
             pair = roots.roots_mod_prime_power(q, a)
-            assert (pair.nu1 * pair.nu1 + 1) % qa == 0, f"congruence {q}^{a}"
-            assert pair.nu1 + pair.nu2 == qa, f"pair symmetry {q}^{a}"
+            _require((pair.nu1 * pair.nu1 + 1) % qa == 0, f"congruence {q}^{a}")
+            _require(pair.nu1 + pair.nu2 == qa, f"pair symmetry {q}^{a}")
             if a > 1:
                 prev = roots.roots_mod_prime_power(q, a - 1)
                 reduced = {pair.nu1 % (qa // q), pair.nu2 % (qa // q)}
-                assert reduced == prev.as_set(), f"lift consistency {q}^{a}"
+                _require(reduced == prev.as_set(), f"lift consistency {q}^{a}")
             brute = [x for x in range(1, qa + 1) if (x * x + 1) % qa == 0]
-            assert brute == [pair.nu1, pair.nu2], f"exhaustive roots {q}^{a}"
+            _require(brute == [pair.nu1, pair.nu2], f"exhaustive roots {q}^{a}")
             checked += 1
             a += 1
             qa *= q
@@ -184,18 +198,21 @@ def check_root_pairs(p: VerifyParams) -> str:
 
 def check_count_solutions_upto(p: VerifyParams) -> str:
     got = orders.count_solutions_upto(5, 2, 10)
-    assert got == 1, (
-        f"count_solutions_upto(5,2,10) = {got}, want 1: the two floors must "
-        "round toward -infinity (truncation toward zero gives 2)"
-    )
-    assert orders.count_solutions_upto(5, 1, 10) == 4
-    assert orders.count_solutions_upto(5, 3, 10) == 0
-    assert orders.alpha_exact(5, 10) == 5 and orders.alpha_exact(3, 100) == 0
-    assert orders.alpha_exact(2, 10) == 5
-    assert orders.beta_exact(5, 10) == 2 and orders.beta_exact(2, 7) == 1
-    assert orders.beta_exact(101, 10) == 1 and orders.beta_exact(101, 9) == 0
-    assert orders.alpha_star(5, 10) == 4 and orders.alpha_star(3, 50) == 0
-    assert orders.alpha_star(13, 10) == 2
+    _require(got == 1,
+             f"count_solutions_upto(5,2,10) = {got}, want 1: the two floors must "
+             "round toward -infinity (truncation toward zero gives 2)")
+    _require(orders.count_solutions_upto(5, 1, 10) == 4, "count_solutions_upto(5,1,10)")
+    _require(orders.count_solutions_upto(5, 3, 10) == 0, "count_solutions_upto(5,3,10)")
+    _require(orders.alpha_exact(5, 10) == 5 and orders.alpha_exact(3, 100) == 0,
+             "alpha_exact examples")
+    _require(orders.alpha_exact(2, 10) == 5, "alpha_exact(2,10)")
+    _require(orders.beta_exact(5, 10) == 2 and orders.beta_exact(2, 7) == 1,
+             "beta_exact examples")
+    _require(orders.beta_exact(101, 10) == 1 and orders.beta_exact(101, 9) == 0,
+             "beta_exact(101, n) switches on at n=10")
+    _require(orders.alpha_star(5, 10) == 4 and orders.alpha_star(3, 50) == 0,
+             "alpha_star examples")
+    _require(orders.alpha_star(13, 10) == 2, "alpha_star(13,10)")
     # telescoping: level counts sum to alpha
     for q, n in ((5, 100), (13, 500), (17, 2000)):
         total = 0
@@ -203,7 +220,7 @@ def check_count_solutions_upto(p: VerifyParams) -> str:
         while q**a <= n * n + 1:
             total += orders.count_solutions_upto(q, a, n)
             a += 1
-        assert total == orders.alpha_exact(q, n), f"telescoping {q}, n={n}"
+        _require(total == orders.alpha_exact(q, n), f"telescoping {q}, n={n}")
     return "floor semantics and order examples exact"
 
 
@@ -217,27 +234,27 @@ def check_lcm_oracle(p: VerifyParams) -> str:
         ev = orders.log_lcm_exact(n)
         rel = abs(ev.log_L - want) / want
         worst = max(worst, rel)
-        assert rel <= 1e-9, f"log L mismatch at n={n}: rel {rel:.2e}"
-        assert ev.log_L <= ev.log_P + 1e-12, f"log L > log P at n={n}"
+        _require(rel <= 1e-9, f"log L mismatch at n={n}: rel {rel:.2e}")
+        _require(ev.log_L <= ev.log_P + 1e-12, f"log L > log P at n={n}")
         # the integer L_n is nondecreasing, but consecutive evaluations are
         # assembled independently, so allow a few ulp of reassociation slack
-        assert ev.log_L >= prev - 1e-14 * max(1.0, prev), f"log L decreased at n={n}"
+        _require(ev.log_L >= prev - 1e-14 * max(1.0, prev), f"log L decreased at n={n}")
         prev = ev.log_L
-    assert abs(orders.log_P(1) - math.log(2)) < 1e-12
-    assert abs(orders.log_P(3) - math.log(100)) < 1e-12
+    _require(abs(orders.log_P(1) - math.log(2)) < 1e-12, "log_P(1)")
+    _require(abs(orders.log_P(3) - math.log(100)) < 1e-12, "log_P(3)")
     n = 1000
     stirling = 2 * n * math.log(n) - 2 * n
-    assert abs(orders.log_P(n) - stirling) <= 12 * math.log(n), "log_P envelope"
+    _require(abs(orders.log_P(n) - stirling) <= 12 * math.log(n), "log_P envelope")
     return f"exact vs oracle to n={p.oracle_cap}, worst rel {worst:.2e}"
 
 
 def check_two_adic(p: VerifyParams) -> str:
     for n in range(1, 10**4 + 1):
         want = (n + 1) // 2
-        assert orders.alpha_exact(2, n) == want, f"alpha(2,{n})"
+        _require(orders.alpha_exact(2, n) == want, f"alpha(2,{n})")
     for n in (1, 7, 50, 1234):
         ev = orders.log_lcm_exact(n)
-        assert ev.two_term == ((n + 1) // 2 - 1) * math.log(2.0), f"two_term n={n}"
+        _require(ev.two_term == ((n + 1) // 2 - 1) * math.log(2.0), f"two_term n={n}")
     return "p=2 closed form exact to 10^4"
 
 
@@ -249,29 +266,29 @@ def check_high_prime_orders(p: VerifyParams) -> str:
         fac, cof = _trial_factor(i * i + 1, 2 * bound)
         if cof > 1:
             seen.add(cof)
-    assert seen, "no large primes found factoring the sequence"
+    _require(seen, "no large primes found factoring the sequence")
     for q in sorted(seen):
-        assert q > 2 * bound, f"cofactor {q} is not a large prime"
-        assert orders.alpha_exact(q, bound) == orders.beta_exact(q, bound), (
-            f"alpha != beta for p={q} > 2n"
-        )
+        _require(q > 2 * bound, f"cofactor {q} is not a large prime")
+        _require(orders.alpha_exact(q, bound) == orders.beta_exact(q, bound),
+                 f"alpha != beta for p={q} > 2n")
     return f"{len(seen)} primes beyond 2n have alpha = beta at n={bound}"
 
 
 def check_decomposition(p: VerifyParams) -> str:
     rep10 = orders.decomposition_report(10)
     want = math.log(5) + math.log(13) + math.log(17)
-    assert abs(rep10.beta_star_sum - want) < 1e-12, "beta* sum at n=10"
+    _require(abs(rep10.beta_star_sum - want) < 1e-12, "beta* sum at n=10")
     for n in _geometric(100, p.decomposition_max):
         rep = orders.decomposition_report(n)
-        assert rep.identity_residue == 0, f"three-sum identity broken at n={n}"
+        _require(rep.identity_residue == 0, f"three-sum identity broken at n={n}")
         ev = orders.log_lcm_exact(n)
         recombined = (
             rep.two_correction + rep.small_sum
             - (rep.medium_high_sum + rep.beta_star_sum - rep.alpha_star_sum)
         )
-        assert abs(recombined - ev.correction) <= 1e-9 * max(1.0, abs(ev.correction)), (
-            f"decomposition pieces disagree with correction at n={n}"
+        _require(
+            abs(recombined - ev.correction) <= 1e-9 * max(1.0, abs(ev.correction)),
+            f"decomposition pieces disagree with correction at n={n}",
         )
     n = 10**3
     rep = orders.decomposition_report(n)
@@ -282,31 +299,31 @@ def check_decomposition(p: VerifyParams) -> str:
         prof = orders.order_profile(q, n)
         direct.add((prof.beta - prof.alpha) * math.log(q))
     combo = rep.medium_high_sum + rep.beta_star_sum - rep.alpha_star_sum
-    assert abs(direct.value - combo) < 1e-9, "medium identity float recombination"
+    _require(abs(direct.value - combo) < 1e-9, "medium identity float recombination")
     return "three-sum identity exact, pieces recombine"
 
 
 def check_medium_coefficient_sign(p: VerifyParams) -> str:
     # medium (beta - alpha) = two_correction-free pieces; also check the
     # published example values of square divisor primes
-    assert orders.square_divisor_primes(10) == [5]
-    assert orders.square_divisor_primes(3) == []
-    assert orders.square_divisor_primes(7) == [5]
+    _require(orders.square_divisor_primes(10) == [5], "square divisor primes at n=10")
+    _require(orders.square_divisor_primes(3) == [], "square divisor primes at n=3")
+    _require(orders.square_divisor_primes(7) == [5], "square divisor primes at n=7")
     for n in _geometric(10**3, min(p.decomposition_max * 10, 10**6)):
         count = len(orders.square_divisor_primes(n))
         cap = 8 * n ** (2 / 3)
-        assert count <= cap, f"bad-prime census {count} > {cap:.0f} at n={n}"
+        _require(count <= cap, f"bad-prime census {count} > {cap:.0f} at n={n}")
     # brute comparison at n ≤ 300: factor every i²+1; a cofactor above 2n
     # is a single prime to the first power, so it can never join the census
     n = 300
     brute: set[int] = set()
     for i in range(1, n + 1):
         fac, cof = _trial_factor(i * i + 1, 2 * n)
-        assert cof == 1 or cof > 2 * n, f"incomplete factorization of {i * i + 1}"
+        _require(cof == 1 or cof > 2 * n, f"incomplete factorization of {i * i + 1}")
         for q, e in fac.items():
             if e >= 2 and q % 4 == 1 and q**3 >= n * n and q <= 2 * n:
                 brute.add(q)
-    assert sorted(brute) == orders.square_divisor_primes(n), "brute bad primes n=300"
+    _require(sorted(brute) == orders.square_divisor_primes(n), "brute bad primes n=300")
     return "square-divisor censuses match brute force and stay within 8 n^(2/3)"
 
 
@@ -317,9 +334,8 @@ def check_order_envelope(p: VerifyParams) -> str:
         if q % 4 != 1:
             continue
         alpha = orders.alpha_exact(q, n)
-        assert abs(alpha - 2 * n / (q - 1)) <= slack / math.log(q), (
-            f"alpha envelope broken at p={q}, n={n}"
-        )
+        _require(abs(alpha - 2 * n / (q - 1)) <= slack / math.log(q),
+                 f"alpha envelope broken at p={q}, n={n}")
     return f"alpha within 4 log(n²+1)/log p of 2n/(p-1) at n={n}"
 
 
@@ -327,26 +343,30 @@ def check_profile_invariants(p: VerifyParams) -> str:
     for q in primes.iter_primes(0, 200):
         for n in (1, 10, 137, 1000):
             prof = orders.order_profile(q, n)
-            assert prof.alpha >= prof.beta >= 0, f"alpha>=beta p={q} n={n}"
-            assert prof.alpha >= prof.alpha_star >= prof.beta_star, f"stars p={q} n={n}"
+            _require(prof.alpha >= prof.beta >= 0, f"alpha>=beta p={q} n={n}")
+            _require(prof.alpha >= prof.alpha_star >= prof.beta_star,
+                     f"stars p={q} n={n}")
             if q % 4 == 3:
-                assert prof.alpha == prof.beta == prof.alpha_star == prof.beta_star == 0
-            assert prof.beta * math.log(q) <= math.log(n * n + 1) + 1e-12, (
-                f"beta log p exceeds log(n²+1) p={q} n={n}"
-            )
+                _require(
+                    prof.alpha == prof.beta == prof.alpha_star == prof.beta_star == 0,
+                    f"p={q} ≡ 3 mod 4 must have all orders 0",
+                )
+            _require(prof.beta * math.log(q) <= math.log(n * n + 1) + 1e-12,
+                     f"beta log p exceeds log(n²+1) p={q} n={n}")
             want_bs = 1 if (q == 2 or q % 4 == 1) and prof.alpha_star >= 1 else 0
-            assert prof.beta_star == want_bs, f"beta_star definition p={q} n={n}"
+            _require(prof.beta_star == want_bs, f"beta_star definition p={q} n={n}")
     return "order profiles satisfy all inequalities"
 
 
 def check_discrepancy_hand_values(p: VerifyParams) -> str:
     s5 = discrepancy.collect_fractions(5)
-    assert s5.items == (Fraction(2, 5), Fraction(1, 2), Fraction(3, 5))
-    assert s5.pi_n == 3
+    _require(s5.items == (Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)),
+             "sample at n=5")
+    _require(s5.pi_n == 3, "pi(5)")
     s4 = discrepancy.collect_fractions(4)
-    assert s4.items == (Fraction(1, 2),) and s4.pi_n == 2
+    _require(s4.items == (Fraction(1, 2),) and s4.pi_n == 2, "sample at n=4")
     s13 = discrepancy.collect_fractions(13)
-    assert len(s13.items) == 5 and s13.pi_n == 6
+    _require(len(s13.items) == 5 and s13.pi_n == 6, "sample size and pi at n=13")
     try:
         discrepancy.collect_fractions(1)
         raise AssertionError("n=1 must raise EmptySampleError")
@@ -354,11 +374,12 @@ def check_discrepancy_hand_values(p: VerifyParams) -> str:
         pass
     for n, want in ((2, Fraction(1)), (5, Fraction(4, 5)), (13, Fraction(47, 78))):
         rep = discrepancy.discrepancy(n)
-        assert rep.D_exact == want, f"D({n}) = {rep.D_exact}, want {want}"
+        _require(rep.D_exact == want, f"D({n}) = {rep.D_exact}, want {want}")
         sample = discrepancy.collect_fractions(n)
-        assert rep.witness.deviation(sample) == rep.D_exact, f"witness replay n={n}"
+        _require(rep.witness.deviation(sample) == rep.D_exact, f"witness replay n={n}")
     rep13 = discrepancy.discrepancy(13)
-    assert (rep13.witness.u, rep13.witness.v) == (Fraction(5, 13), Fraction(8, 13))
+    _require((rep13.witness.u, rep13.witness.v) == (Fraction(5, 13), Fraction(8, 13)),
+             "witness interval at n=13")
     return "hand discrepancies and witnesses exact"
 
 
@@ -366,13 +387,14 @@ def check_discrepancy_decay(p: VerifyParams) -> str:
     grid = _geometric(100, p.discrepancy_max)
     reps = [discrepancy.discrepancy(n) for n in grid]
     for a, b in zip(reps, reps[1:]):
-        assert b.D_exact < a.D_exact, f"D({b.n}) >= D({a.n})"
+        _require(b.D_exact < a.D_exact, f"D({b.n}) >= D({a.n})")
     for rep in reps:
         sample = discrepancy.collect_fractions(rep.n)
-        assert rep.witness.deviation(sample) == rep.D_exact, f"witness replay n={rep.n}"
+        _require(rep.witness.deviation(sample) == rep.D_exact,
+                 f"witness replay n={rep.n}")
     scan = discrepancy.decay_scan(grid)
     if len(grid) >= 3:
-        assert scan.exponent is not None and scan.exponent > 0, "decay fit exponent"
+        _require(scan.exponent is not None and scan.exponent > 0, "decay fit exponent")
     return f"D strictly decreasing over {grid}, witnesses replay exactly"
 
 
@@ -382,19 +404,18 @@ def check_equidistribution_sums(p: VerifyParams) -> str:
     gsq = discrepancy.square_map()
     tent = discrepancy.tent_map()
     s = discrepancy.equidistribution_sum(g1, 4, 14)
-    assert s.sum == 4.0 and s.prediction == 4.0, "g=1 on (4,14]"
+    _require(s.sum == 4.0 and s.prediction == 4.0, "g=1 on (4,14]")
     s = discrepancy.equidistribution_sum(gt, 4, 14)
-    assert s.sum == 2.0 and s.prediction == 2.0, "g=t on (4,14]"
+    _require(s.sum == 2.0 and s.prediction == 2.0, "g=t on (4,14]")
     s = discrepancy.equidistribution_sum(gsq, 4, 14)
     want = float(Fraction(13, 25) + Fraction(89, 169))
-    assert abs(s.sum - want) < 1e-15 and abs(s.prediction - 4 / 3) < 1e-15, "g=t²"
+    _require(abs(s.sum - want) < 1e-15 and abs(s.prediction - 4 / 3) < 1e-15, "g=t²")
     odd = discrepancy.BVFunction(
         ((Fraction(0), Fraction(-1, 2)), (Fraction(1), Fraction(1, 2)))
     )
     for lo, hi in ((2, 1000), (10**3, 4 * 10**3)):
-        assert discrepancy.equidistribution_sum(odd, lo, hi).sum == 0.0, (
-            f"odd-symmetric sum not exactly 0 on ({lo},{hi}]"
-        )
+        _require(discrepancy.equidistribution_sum(odd, lo, hi).sum == 0.0,
+                 f"odd-symmetric sum not exactly 0 on ({lo},{hi}]")
     for n in _geometric(10**3, p.koksma_max):
         lo, hi = n, 2 * n
         dsc = discrepancy.discrepancy(hi)
@@ -402,58 +423,59 @@ def check_equidistribution_sums(p: VerifyParams) -> str:
         for g in (g1, gt, gsq, tent):
             res = discrepancy.equidistribution_sum(g, lo, hi)
             bound = float(g.variation()) * (2 * pi1) * dsc.D
-            assert abs(res.sum - res.prediction) <= bound + 1e-12, (
-                f"variation bound broken on ({lo},{hi}]"
-            )
+            _require(abs(res.sum - res.prediction) <= bound + 1e-12,
+                     f"variation bound broken on ({lo},{hi}]")
         res = discrepancy.equidistribution_sum(gt, lo, hi)
-        assert res.sum == float(pi1), f"g=t identity not exact on ({lo},{hi}]"
+        _require(res.sum == float(pi1), f"g=t identity not exact on ({lo},{hi}]")
     return "weighted sums match predictions within variation bounds"
 
 
 def check_centered_sum(p: VerifyParams) -> str:
-    assert discrepancy.centered_fraction_sum(1) == 0.5, "centered n=1"
-    assert discrepancy.centered_fraction_sum(5) == 0.5, "centered n=5"
+    _require(discrepancy.centered_fraction_sum(1) == 0.5, "centered n=1")
+    _require(discrepancy.centered_fraction_sum(5) == 0.5, "centered n=5")
     first = None
     for n in _geometric(10**3, p.grid_max):
         v = abs(discrepancy.centered_fraction_sum(n)) * math.log(n) ** 1.4 / n
         if first is None:
             first = v
-        assert v <= 3 * first + 1e-12, f"centered sum growth at n={n}"
+        _require(v <= 3 * first + 1e-12, f"centered sum growth at n={n}")
     return "centered sum normalized values bounded by 3x first grid point"
 
 
 def check_prime_harmonics(p: VerifyParams) -> str:
-    assert asymptotics.mertens_log_sum(4) == math.log(3) / 2, "mertens x=4"
-    assert abs(asymptotics.mertens_log_sum(10) - 1.27598397) < 1e-6, "mertens x=10"
-    assert asymptotics.character_log_sum(4) == -math.log(3) / 2, "charsum x=4"
-    assert abs(asymptotics.character_log_sum(10) - (-0.47126501)) < 1e-6
+    _require(asymptotics.mertens_log_sum(4) == math.log(3) / 2, "mertens x=4")
+    _require(abs(asymptotics.mertens_log_sum(10) - 1.27598397) < 1e-6, "mertens x=10")
+    _require(asymptotics.character_log_sum(4) == -math.log(3) / 2, "charsum x=4")
+    _require(abs(asymptotics.character_log_sum(10) - (-0.47126501)) < 1e-6,
+             "charsum x=10")
     s_limit = asymptotics.compute_B("accelerated").s_value
     prev_dev = None
     for n in _geometric(10**3, p.grid_max):
         mert, char = asymptotics._prime_harmonic_sums(2 * n)
-        dev = abs(mert - (math.log(n) - GAMMA))
-        assert dev * math.log(n) <= 5.0, f"Mertens envelope at n={n}: {dev:.4g}"
+        dev = abs(mert - (math.log(n) - GAMMA_DD[0]))
+        _require(dev * math.log(n) <= 5.0, f"Mertens envelope at n={n}: {dev:.4g}")
         cdev = abs(char - s_limit)
         if prev_dev is not None:
-            assert cdev <= 2 * prev_dev, f"character sum deviation doubled at n={n}"
+            _require(cdev <= 2 * prev_dev, f"character sum deviation doubled at n={n}")
         prev_dev = cdev
-    assert abs(asymptotics.character_log_sum(2 * 10**6) - s_limit) <= 0.01
+    _require(abs(asymptotics.character_log_sum(2 * 10**6) - s_limit) <= 0.01,
+             "character sum at 2e6 within 0.01 of its limit")
     return "Mertens envelope and character-sum convergence hold"
 
 
 def check_constant_b(p: VerifyParams) -> str:
     ev = asymptotics.compute_B("accelerated")
-    assert -0.0662756392 <= ev.value <= -0.0662756292, f"B window: {ev.value}"
+    _require(-0.0662756392 <= ev.value <= -0.0662756292, f"B window: {ev.value}")
     recombined = ev.gamma_used - 1.0 - asymptotics.HALF_LOG2 - ev.s_value
-    assert ev.value == recombined, "recombination identity not exact"
+    _require(ev.value == recombined, "recombination identity not exact")
     e16 = asymptotics.compute_B("accelerated", depth=16)
     gap = abs(
         (Fraction(e16.value_hi) + Fraction(e16.value_lo))
         - (Fraction(ev.value_hi) + Fraction(ev.value_lo))
     )
-    assert float(gap) <= e16.tail_bound + ev.tail_bound, "depth nesting bound"
+    _require(float(gap) <= e16.tail_bound + ev.tail_bound, "depth nesting bound")
     naive = asymptotics.compute_B("naive", p_max=10**6)
-    assert abs(naive.value - ev.value) <= 0.05, "naive(10^6) within 0.05"
+    _require(abs(naive.value - ev.value) <= 0.05, "naive(10^6) within 0.05")
     # recursion identity at s=2: sum of trivial P over even arguments
     base, em_tail = neg_log_deriv_zeta(2)
     total = DD_ZERO
@@ -466,7 +488,7 @@ def check_constant_b(p: VerifyParams) -> str:
         m += 1
     bound += asymptotics._dropped_args_bound(2 * m, 2, odd_only=False)
     gap = abs(dd_to_float(dd_sub(total, base)))
-    assert gap <= bound + 1e-28, "log-derivative identity"
+    _require(gap <= bound + 1e-28, "log-derivative identity")
     # direct-summation cross-check of the trivial power sum at s=2
     x = 10**5 if p.oracle_cap <= 200 else 10**6
     direct = KahanSum()
@@ -474,24 +496,24 @@ def check_constant_b(p: VerifyParams) -> str:
         direct.add(math.log(q) / (q * q))
     tail_env = (math.log(x) + 1.0) / x
     ps2 = asymptotics.prime_log_power_sum(2, asymptotics.CHAR_TRIVIAL)
-    assert abs(ps2.value - direct.value) <= tail_env, "P(2) vs direct summation"
+    _require(abs(ps2.value - direct.value) <= tail_env, "P(2) vs direct summation")
     return f"B = {ev.value:.10f}, all truncation bounds honored"
 
 
 def check_residuals(p: VerifyParams) -> str:
     reps = asymptotics.residual_scan([1, 10])
-    assert abs(reps[1].r - (-1.1133)) < 2e-3, f"r(10) = {reps[1].r:.4f}"
-    assert abs(reps[0].r - 0.7594) < 2e-3, f"r(1) = {reps[0].r:.4f}"
+    _require(abs(reps[1].r - (-1.1133)) < 2e-3, f"r(10) = {reps[1].r:.4f}")
+    _require(abs(reps[0].r - 0.7594) < 2e-3, f"r(1) = {reps[0].r:.4f}")
     grid = _geometric(10**3, p.residual_max)
     reps = asymptotics.residual_scan(grid)
     ref = abs(reps[0].normalized)
     cal = abs(reps[0].eq6_vs_exact) * math.log(reps[0].n) ** 0.44 / reps[0].n
     for rep in reps[1:]:
-        assert abs(rep.normalized) <= 3 * ref, (
-            f"normalized residual at n={rep.n} exceeds 3x the first grid point"
-        )
+        _require(abs(rep.normalized) <= 3 * ref,
+                 f"normalized residual at n={rep.n} exceeds 3x the first grid point")
         val = abs(rep.eq6_vs_exact) * math.log(rep.n) ** 0.44 / rep.n
-        assert val <= cal, f"finite-sum assembly drift at n={rep.n}: {val:.4g} > {cal:.4g}"
+        _require(val <= cal,
+                 f"finite-sum assembly drift at n={rep.n}: {val:.4g} > {cal:.4g}")
     return f"residual hand values and assembly calibration hold on {grid}"
 
 
@@ -499,10 +521,10 @@ def check_worker_determinism(p: VerifyParams) -> str:
     n = p.workers_check_n
     one = orders.log_lcm_exact(n, workers=1)
     two = orders.log_lcm_exact(n, workers=2)
-    assert one == two, "worker count changed the evaluation"
+    _require(one == two, "worker count changed the evaluation")
     d1 = orders.decomposition_report(1000, workers=1)
     d2 = orders.decomposition_report(1000, workers=3)
-    assert d1 == d2, "worker count changed the decomposition"
+    _require(d1 == d2, "worker count changed the decomposition")
     return f"1- and 2-worker evaluations bit-identical at n={n}"
 
 

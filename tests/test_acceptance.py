@@ -1,9 +1,11 @@
 """Acceptance suite: the shipped guarantees, one numbered test each.
 
-Every test prints a single `[acceptance] NN ...: PASS/FAIL` line on the real
-stdout (bypassing capture) so the run leaves a one-line verdict per criterion
-even under -q. Asserts come after the report line, weakest-first, so a failure
-names the exact clause that broke.
+Every test prints a single `[acceptance] NN ...: PASS/FAIL` line to
+sys.__stdout__. Pytest's default fd-level capture takes that stream too, so
+the verdict lines show with -s, in the captured output that -rA lists for
+passing tests, or in a failing test's captured stdout; a plain -q run prints
+none. Asserts come after the report line, weakest-first, so a failure names
+the exact clause that broke.
 
 Two convergence clauses bound an envelope rather than demand a decrease at
 every grid step, because the sequences they watch oscillate on correct,
@@ -38,6 +40,7 @@ P_MAX = (10**4, 10**5, 10**6, 10**7)
 
 
 def _report(tag: str, ok: bool, detail: str) -> None:
+    """Print the verdict line; visible with -s or -rA (see module docstring)."""
     status = "PASS" if ok else "FAIL"
     print(f"[acceptance] {tag}: {status} ({detail})", file=sys.__stdout__, flush=True)
 

@@ -1,9 +1,13 @@
 """End-to-end CLI behavior: flags, exit codes, files, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import quadlcm
 from quadlcm import cli
 from quadlcm.errors import RangeOverflowError
 
@@ -145,6 +149,19 @@ def test_constant_b_json(tmp_path, capsys):
     assert obj["depth"] == 48
     assert obj["tail_bound"] < 1e-18
     assert -0.0662756392 <= obj["value"] <= -0.0662756292
+
+
+@pytest.mark.parametrize("p", [9, 1, 21, 4, 0, -3])
+def test_orders_rejects_non_prime_p(p):
+    # a separate process, so a hang in the root search fails on the timeout
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlcm", "orders", "--p", str(p), "--n", "10"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: p = {p} is not a prime\n"
 
 
 def test_roots_table(capsys):

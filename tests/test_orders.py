@@ -1,13 +1,15 @@
 """Exact p-adic orders and the log-lcm decomposition against factoring oracles."""
 
 import math
+import signal
+from contextlib import contextmanager
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadlcm.errors import InvalidRangeError, OracleCapError
+from quadlcm.errors import InvalidRangeError, OracleCapError, QuadlcmError
 from quadlcm.orders import (
     alpha_exact,
     alpha_star,
@@ -21,6 +23,7 @@ from quadlcm.orders import (
     order_profile,
     square_divisor_primes,
 )
+from quadlcm.roots import min_root, roots_mod_prime_power, sqrt_minus_one
 
 # log of the exact integer L_10 = 1693047850, frozen from the bigint oracle
 LOG_L10 = 21.24979620313569
@@ -124,6 +127,55 @@ def test_preconditions():
         alpha_exact(5, 0)
     with pytest.raises(InvalidRangeError):
         decomposition_report(1)
+
+
+@contextmanager
+def _time_limit(seconds):
+    """Turn a hang into a failure: SIGALRM raises TimeoutError."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@given(
+    st.integers(min_value=-(10**6), max_value=10**6),
+    st.integers(min_value=1, max_value=10**4),
+    st.integers(min_value=0, max_value=6),
+)
+@example(9, 10, 1)
+@example(1, 10, 1)
+@example(21, 10, 2)
+@example(4, 10, 1)
+@example(0, 10, 1)
+@example(-3, 10, 1)
+@example(999983, 10**4, 3)
+@settings(max_examples=150, deadline=1000)
+def test_entry_points_return_or_raise_in_bounded_time(p, n, a):
+    calls = [
+        (sqrt_minus_one, (p,)),
+        (roots_mod_prime_power, (p, a)),
+        (min_root, (p, a)),
+        (count_solutions_upto, (p, a, n)),
+        (order_profile, (p, n)),
+        (alpha_exact, (p, n)),
+        (beta_exact, (p, n)),
+        (alpha_star, (p, n)),
+        (beta_star, (p, n)),
+    ]
+    with _time_limit(2.0):
+        for fn, args in calls:
+            try:
+                fn(*args)
+            except QuadlcmError:
+                pass
 
 
 def test_worker_count_never_changes_results():

@@ -11,6 +11,7 @@ from quadlcm.errors import InvalidRangeError
 from quadlcm.primes import (
     DEFAULT_SEGMENT,
     chebyshev_psi,
+    is_prime,
     iter_primes,
     pi1_range,
     prime_counts,
@@ -63,10 +64,17 @@ def test_sieve_range_block_fields():
     block = sieve_range(0, 30)
     assert block.lo == 0 and block.hi == 30
     assert block.primes == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
-    assert block.residue_tags[2] == 2
-    assert block.residue_tags[13] == 1
-    assert block.residue_tags[23] == 3
-    assert set(block.residue_tags) == set(block.primes)
+
+
+def test_is_prime_matches_sieve_and_sympy():
+    sieved = set(iter_primes(0, 20_000))
+    assert [n for n in range(-5, 20_001) if is_prime(n)] == sorted(sieved)
+    for n in (2**61 - 1, 10**18 + 9, 10**24 + 7, 561, 3215031751, 2**61 + 1):
+        assert is_prime(n) == sympy.isprime(n)
+    # strong pseudoprime to every prime base up to 37: base 41 exposes it
+    psi12 = 318665857834031151167461
+    assert not sympy.isprime(psi12)
+    assert not is_prime(psi12)
 
 
 def test_prime_counts_against_sympy():

@@ -1,15 +1,15 @@
-"""Square roots of -1 modulo prime powers: Tonelli-Shanks plus Hensel lifting."""
+"""Square roots of -1 modulo prime powers: the closed form c^((p-1)/4) for a
+non-residue c, plus Hensel lifting, checked against sympy and brute force."""
 
 from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadlcm.errors import InvalidRangeError, NotOneModFourError, RangeOverflowError
 from quadlcm.roots import (
-    TWO_ROOT,
     RootPair,
     min_root,
     root_stream,
@@ -48,7 +48,6 @@ def test_rejects_wrong_residue_class():
 
 
 def test_two_adic_root():
-    assert TWO_ROOT.p == 2 and TWO_ROOT.a == 1 and TWO_ROOT.nu == 1
     assert min_root(2, 1) == 1
     with pytest.raises(InvalidRangeError):
         min_root(2, 2)  # x²+1 ≡ 2 mod 4 kills all higher 2-power levels
@@ -74,13 +73,30 @@ def prime_one_mod_four(draw):
     return int(p)
 
 
+# Primes ≡ 1 mod 8 whose least non-residue sets a record (c = 5, 7, ..., 53),
+# so the ascending search runs longest, and primes ≡ 5 mod 8, where c = 2.
+_RECORD_NON_RESIDUE = (
+    73, 241, 1009, 2689, 8089, 33049, 53881, 87481,
+    483289, 515761, 1083289, 3818929, 9257329,
+)
+_FIVE_MOD_EIGHT = (5, 13, 29, 1000037, 9999973)
+
+
+def _with_examples(test):
+    for p in _RECORD_NON_RESIDUE + _FIVE_MOD_EIGHT:
+        test = example(p)(test)
+    return test
+
+
+@_with_examples
 @given(prime_one_mod_four())
 @settings(max_examples=60)
-def test_tonelli_root_is_correct_and_minimal(p):
+def test_sqrt_minus_one_is_correct_and_minimal(p):
     pair = sqrt_minus_one(p)
     assert (pair.nu1 * pair.nu1 + 1) % p == 0
     assert 1 <= pair.nu1 < pair.nu2 < p
     assert pair.nu1 + pair.nu2 == p
+    assert [pair.nu1, pair.nu2] == sorted(sympy.sqrt_mod(-1, p, all_roots=True))
 
 
 @given(prime_one_mod_four(), st.integers(min_value=2, max_value=4))
