@@ -107,8 +107,7 @@ def sieve_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> PrimeBlock:
 
 
 # exact below 3317044064679887385961981 (Sorenson & Webster 2015); without
-# 41 only below 318665857834031151167461.  The first four alone are exact
-# below 3215031751, the least strong pseudoprime to all of them (Jaeschke).
+# 41 only below 318665857834031151167461.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
@@ -124,7 +123,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for q in _MR_BASES if n >= 3215031751 else _MR_BASES[:4]:
+    for q in _MR_BASES:
         x = pow(q, d, n)
         if x == 1 or x == n - 1:
             continue
