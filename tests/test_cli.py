@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: flags, exit codes, files, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -191,3 +192,78 @@ def test_verify_quick_cli(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert "all 20 checks passed" in lines[-1]
     assert any("count_solutions_upto" in line for line in lines)
+
+
+# One small input per data command: the exact stdout line(s), the CSV that
+# goes to stdout without --out (None for JSON commands), the sha256 of the
+# file written with --out, and the config keys beyond "command" and "out".
+GOLDEN = [
+    (["psi", "--n", "10"], "n=10 psi=7.83201418051 ratio=0.783201418051\n", None,
+     "a97f3318ad3de6e238c2122fd35b79f108823596169a92202a5dec0fcf501ad5", ["n"]),
+    (["counts", "--n", "100"], "n=100 pi=25 pi1=11\n", None,
+     "664b6d9ae3cfbee9ab5d84f1e6c25ff6ebb86147af095d14d76ed95c01676f87", ["n"]),
+    (["roots", "--lo", "1", "--hi", "30"], "",
+     "p,nu,frac_num,frac_den\n2,1,1,2\n5,2,2,5\n5,3,3,5\n13,5,5,13\n13,8,8,13\n"
+     "17,4,4,17\n17,13,13,17\n29,12,12,29\n29,17,17,29\n",
+     "a4641cce318d3a96a16ff1c6eee45e2f078b0d3882c3c053f8c3b0427860a888", ["hi", "lo"]),
+    (["orders", "--p", "5", "--n", "10"],
+     "p=5 n=10 alpha=5 beta=2 alpha_star=4 beta_star=1\n", None,
+     "6f65684d1ee4348b3e1e6a5af3b25fa3f81ede89ebe27d9bf6b391825da40a2e", ["n", "p"]),
+    (["lcm", "--n", "10"], "n=10 logL=21.2497962031\n", None,
+     "06b0b668d9ec614e508c21217c8c68e967a9dddc132417d5550277b98197e53d", ["n", "workers"]),
+    (["brute", "--n", "10"], "n=10 logL=21.2497962031\n", None,
+     "acc618d121627f5504feabbe9a20f7298d5007b02de2cf72ba893de9c95e5106", ["cap", "n"]),
+    (["badprimes", "--n", "100"], "n=100 count=1 bound=172.354775203\n", "p\n29\n",
+     "e17877ad91e0906d479ec020217c4f23c28a110c28f03cc1d6bc71aa94fd06aa", ["n"]),
+    (["decomp", "--n", "100"],
+     "n=100 small=147.848118388 medium_high=0 beta_star=82.0384701748 "
+     "alpha_star=193.42422351 two=33.9642118474 identity_residue=0 bad_primes=1\n", None,
+     "1133a5430cb49944288ab92aea4d4d1f184abbbc383d6ad0eb4e01bd15bb8f93", ["n", "workers"]),
+    (["discrepancy", "--grid", "13:130:10"], "",
+     "n,D,witness_u_num,witness_u_den,witness_v_num,witness_v_den,sample_size\n"
+     "13,0.602564102564,5,13,8,13,5\n130,0.159080866107,27,73,46,73,29\n",
+     "1bcc3e0f17ab237fd3ac373cd85bfee1d3489aa240ed4561c64cb3195d4173d0", ["grid", "n"]),
+    (["equisum", "--g", "t2", "--lo", "4", "--hi", "14"],
+     "g=t2 lo=4 hi=14 sum=1.04662721893 prediction=1.33333333333\n", None,
+     "ff0a200e2c6c3a50df9d5aaf782193e17cc0c8a455b9720708dfd8cd78b42620", ["g", "hi", "lo"]),
+    (["centered", "--grid", "10:1000:10"], "",
+     "n,centered_sum,normalized\n10,0.285067873303,0.0916326486247\n"
+     "100,1.59609393405,0.135394930972\n1000,-6.39114285828,0.0956423516588\n",
+     "c578a64074a3751810f4929006cd076b08f5c2c42563c2645e5b01292e826da9", ["grid"]),
+    (["mertens", "--grid", "10:1000:10"], "",
+     "x,sum,reference,deviation\n10,1.27598398062,1.03222224753,0.243761733086\n"
+     "100,3.42174679652,3.33480734053,0.0869394559888\n"
+     "1000,5.67073856749,5.63739243352,0.0333461339675\n",
+     "f5b37dc70bfbe8fcc1357bde28c066525b92dcdd911f6230808653ce97b3b521", ["grid"]),
+    (["charsum", "--grid", "10:1000:10"], "",
+     "x,sum,limit,deviation\n10,-0.471265024401,-0.703082291165,0.231817266764\n"
+     "100,-0.602345293433,-0.703082291165,0.100736997732\n"
+     "1000,-0.684498565703,-0.703082291165,0.0185837254624\n",
+     "025a52aed531c2d96c8993b0882494f0649d0cbf861a1be57e2701afa527a219", ["grid"]),
+    (["constant-b", "--depth", "16"],
+     "mode=accelerated B=-0.0662756469711 tail_bound=1.52894437976e-08\n", None,
+     "c45c5342642579988c0aed4920da31b4d7be8638163b2e6cab4ed98a7e855d23",
+     ["depth", "mode", "p_max"]),
+    (["residuals", "--grid", "100:1000:10"], "",
+     "n,log_L,main,r,r_normalized\n"
+     "100,435.572563936,453.889455178,-18.3168912411,-0.358657459475\n"
+     "1000,6847.47030816,6841.47964477,5.99066339422,0.0140211350715\n",
+     "018d764f4e988bad07525b58baaa1703fd8d499d25a16e2771e0fe2599c20978",
+     ["grid", "theta", "workers"]),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, line, csv_text, digest, config_keys", GOLDEN, ids=[g[0][0] for g in GOLDEN]
+)
+def test_golden_output(tmp_path, capsys, argv, line, csv_text, digest, config_keys):
+    assert run(capsys, *argv) == (0, line + (csv_text or ""), "")
+
+    out = tmp_path / f"{argv[0]}.dat"
+    assert run(capsys, *argv, "--out", str(out)) == (0, f"{line}wrote {out} sha256={digest}\n", "")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    manifest = json.loads((tmp_path / f"{argv[0]}.dat.manifest.json").read_text())
+    assert manifest["command"] == argv[0]
+    assert manifest["files"] == {out.name: digest}
+    assert sorted(manifest["config"]) == sorted(["command", "out", *config_keys])
+    assert set(manifest["wall_seconds"]) == {"compute", "write"}
