@@ -8,8 +8,13 @@ Conventions shared by every subcommand:
   wall times and the sha256 of the data file,
 * single-value commands print key=value lines and write a JSON document
   when --out is given,
-* exit codes: 2 for invalid flags or parameter validation, 3 when the
-  exact-integer oracle cap is exceeded, 4 on modulus overflow.
+* exit codes: 2 for invalid flags, parameter validation or an unwritable
+  --out, 3 when the exact-integer oracle cap is exceeded, 4 on modulus
+  overflow.
+
+Each data command is one row of COMMANDS: its handler only computes and
+returns (key=value line or None, Table or JSON object); run_command does
+the worker resolution, timing, printing and writing for all of them.
 
 Worker counts resolve flag first, then the QUADLCM_WORKERS environment
 variable, then 1.  Reruns with identical config produce byte-identical
@@ -24,17 +29,23 @@ import os
 import sys
 import time
 from dataclasses import asdict
+from typing import NamedTuple
 
-from . import __version__, asymptotics, discrepancy, orders, primes
+from . import __version__, asymptotics, discrepancy, orders, primes, roots, verify
 from .errors import OracleCapError, QuadlcmError, RangeOverflowError
 from .reports import RunManifest, format_value, render_csv, render_json, write_report
-from .roots import root_stream
 from .summation import GAMMA_DD
-from .verify import run_verify
 
 
 class UsageError(QuadlcmError, ValueError):
     """Bad flag combination or parameter value; maps to exit 2."""
+
+
+class Table(NamedTuple):
+    """A CSV report: one header row, then the data rows."""
+
+    header: tuple
+    rows: list
 
 
 def parse_grid(spec: str) -> list[int]:
@@ -50,12 +61,7 @@ def parse_grid(spec: str) -> list[int]:
         raise UsageError(
             "grid needs start >= 1, stop >= start, factor >= 2"
         )
-    out = []
-    v = start
-    while v <= stop:
-        out.append(v)
-        v *= factor
-    return out
+    return verify.geometric(start, stop, factor)
 
 
 def _resolve_workers(flag_value: int | None) -> int:
@@ -72,128 +78,95 @@ def _resolve_workers(flag_value: int | None) -> int:
     return flag_value
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+def run_command(args: argparse.Namespace) -> int:
+    """Time the handler as the compute phase, print its line, emit its report.
 
-
-def _emit_table(args, command: str, header, rows, wall: dict) -> None:
-    text = render_csv(header, rows)
-    if args.out:
+    Without --out a Table goes to stdout as CSV and a JSON object is
+    dropped; with --out either is written (the write phase) beside its
+    manifest.
+    """
+    if hasattr(args, "workers"):
+        args.workers = _resolve_workers(args.workers)
+    t0 = time.perf_counter()
+    line, report = args.func(args)
+    wall = {"compute": time.perf_counter() - t0}
+    if line is not None:
+        print(line)
+    is_table = isinstance(report, Table)
+    if not args.out:
+        if is_table:
+            sys.stdout.write(render_csv(report.header, report.rows))
+        return 0
+    text = render_csv(report.header, report.rows) if is_table else render_json(report)
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    try:
         t0 = time.perf_counter()
         digest = write_report(args.out, text)
-        wall = dict(wall)
         wall["write"] = time.perf_counter() - t0
         manifest = RunManifest(
-            command=command,
+            command=args.command,
             version=__version__,
-            config=_config_echo(args),
+            config=config,
             wall_seconds=wall,
             files={os.path.basename(args.out): digest},
         )
         manifest.write_next_to(args.out)
-        print(f"wrote {args.out} sha256={digest}")
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(args, command: str, obj, wall: dict) -> None:
-    if not args.out:
-        return
-    text = render_json(obj)
-    t0 = time.perf_counter()
-    digest = write_report(args.out, text)
-    wall = dict(wall)
-    wall["write"] = time.perf_counter() - t0
-    manifest = RunManifest(
-        command=command,
-        version=__version__,
-        config=_config_echo(args),
-        wall_seconds=wall,
-        files={os.path.basename(args.out): digest},
-    )
-    manifest.write_next_to(args.out)
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
     print(f"wrote {args.out} sha256={digest}")
+    return 0
 
 
-def cmd_psi(args) -> int:
-    t0 = time.perf_counter()
+def cmd_psi(args):
     value = primes.chebyshev_psi(args.n)
-    wall = {"compute": time.perf_counter() - t0}
-    print(f"n={args.n} psi={format_value(value)} ratio={format_value(value / args.n)}")
-    _emit_json(args, "psi", {"n": args.n, "psi": value, "ratio": value / args.n}, wall)
-    return 0
+    ratio = value / args.n
+    line = f"n={args.n} psi={format_value(value)} ratio={format_value(ratio)}"
+    return line, {"n": args.n, "psi": value, "ratio": ratio}
 
 
-def cmd_counts(args) -> int:
-    t0 = time.perf_counter()
+def cmd_counts(args):
     pc = primes.prime_counts(args.n)
-    wall = {"compute": time.perf_counter() - t0}
-    print(f"n={pc.n} pi={pc.pi} pi1={pc.pi1}")
-    _emit_json(args, "counts", asdict(pc), wall)
-    return 0
+    return f"n={pc.n} pi={pc.pi} pi1={pc.pi1}", asdict(pc)
 
 
-def cmd_roots(args) -> int:
-    if args.hi < args.lo:
-        raise UsageError("roots needs hi >= lo")
-    t0 = time.perf_counter()
+def cmd_roots(args):
     rows = [
         (item.p, item.nu, item.fraction.numerator, item.fraction.denominator)
-        for item in root_stream(args.lo, args.hi)
+        for item in roots.root_stream(args.lo, args.hi)
     ]
-    wall = {"compute": time.perf_counter() - t0}
-    _emit_table(args, "roots", ("p", "nu", "frac_num", "frac_den"), rows, wall)
-    return 0
+    return None, Table(("p", "nu", "frac_num", "frac_den"), rows)
 
 
-def cmd_orders(args) -> int:
-    t0 = time.perf_counter()
+def cmd_orders(args):
     prof = orders.order_profile(args.p, args.n)
-    wall = {"compute": time.perf_counter() - t0}
-    print(
+    line = (
         f"p={prof.p} n={prof.n} alpha={prof.alpha} beta={prof.beta} "
         f"alpha_star={prof.alpha_star} beta_star={prof.beta_star}"
     )
-    _emit_json(args, "orders", asdict(prof), wall)
-    return 0
+    return line, asdict(prof)
 
 
-def cmd_lcm(args) -> int:
-    workers = args.workers = _resolve_workers(args.workers)
-    t0 = time.perf_counter()
-    ev = orders.log_lcm_exact(args.n, workers=workers)
-    wall = {"compute": time.perf_counter() - t0}
-    print(f"n={ev.n} logL={format_value(ev.log_L)}")
-    _emit_json(args, "lcm", asdict(ev), wall)
-    return 0
+def cmd_lcm(args):
+    ev = orders.log_lcm_exact(args.n, workers=args.workers)
+    return f"n={ev.n} logL={format_value(ev.log_L)}", asdict(ev)
 
 
-def cmd_brute(args) -> int:
-    t0 = time.perf_counter()
+def cmd_brute(args):
     value = orders.log_lcm_bruteforce(args.n, cap=args.cap)
-    wall = {"compute": time.perf_counter() - t0}
-    print(f"n={args.n} logL={format_value(value)}")
-    _emit_json(args, "brute", {"n": args.n, "log_L": value, "cap": args.cap}, wall)
-    return 0
+    line = f"n={args.n} logL={format_value(value)}"
+    return line, {"n": args.n, "log_L": value, "cap": args.cap}
 
 
-def cmd_badprimes(args) -> int:
-    t0 = time.perf_counter()
+def cmd_badprimes(args):
     found = orders.square_divisor_primes(args.n)
-    wall = {"compute": time.perf_counter() - t0}
     bound = 8.0 * args.n ** (2.0 / 3.0)
-    print(f"n={args.n} count={len(found)} bound={format_value(bound)}")
-    _emit_table(args, "badprimes", ("p",), [(p,) for p in found], wall)
-    return 0
+    line = f"n={args.n} count={len(found)} bound={format_value(bound)}"
+    return line, Table(("p",), [(p,) for p in found])
 
 
-def cmd_decomp(args) -> int:
-    workers = args.workers = _resolve_workers(args.workers)
-    t0 = time.perf_counter()
-    rep = orders.decomposition_report(args.n, workers=workers)
-    wall = {"compute": time.perf_counter() - t0}
-    print(
+def cmd_decomp(args):
+    rep = orders.decomposition_report(args.n, workers=args.workers)
+    line = (
         f"n={rep.n} small={format_value(rep.small_sum)} "
         f"medium_high={format_value(rep.medium_high_sum)} "
         f"beta_star={format_value(rep.beta_star_sum)} "
@@ -203,41 +176,24 @@ def cmd_decomp(args) -> int:
     )
     obj = asdict(rep)
     obj["bad_primes"] = list(rep.bad_primes)
-    _emit_json(args, "decomp", obj, wall)
-    return 0
+    return line, obj
 
 
-def cmd_discrepancy(args) -> int:
-    grid = parse_grid(args.grid) if args.grid else [args.n]
-    if grid == [None]:
+def cmd_discrepancy(args):
+    if args.n is None and args.grid is None:
         raise UsageError("discrepancy needs --n or --grid")
-    t0 = time.perf_counter()
+    if args.n is not None and args.grid is not None:
+        raise UsageError("discrepancy takes --n or --grid, not both")
+    grid = [args.n] if args.grid is None else parse_grid(args.grid)
     rows = []
     for n in grid:
         rep = discrepancy.discrepancy(n)
-        rows.append(
-            (
-                rep.n,
-                rep.D,
-                rep.witness.u.numerator,
-                rep.witness.u.denominator,
-                rep.witness.v.numerator,
-                rep.witness.v.denominator,
-                rep.sample_size,
-            )
-        )
-    wall = {"compute": time.perf_counter() - t0}
-    header = (
-        "n",
-        "D",
-        "witness_u_num",
-        "witness_u_den",
-        "witness_v_num",
-        "witness_v_den",
-        "sample_size",
-    )
-    _emit_table(args, "discrepancy", header, rows, wall)
-    return 0
+        u, v = rep.witness.u, rep.witness.v
+        rows.append((rep.n, rep.D, u.numerator, u.denominator, v.numerator, v.denominator,
+                     rep.sample_size))
+    header = ("n", "D", "witness_u_num", "witness_u_den", "witness_v_num", "witness_v_den",
+              "sample_size")
+    return None, Table(header, rows)
 
 
 _TEST_FUNCTIONS = {
@@ -248,94 +204,62 @@ _TEST_FUNCTIONS = {
 }
 
 
-def cmd_equisum(args) -> int:
-    if args.hi < args.lo:
-        raise UsageError("equisum needs hi >= lo")
+def cmd_equisum(args):
     g = _TEST_FUNCTIONS[args.g]()
-    t0 = time.perf_counter()
     res = discrepancy.equidistribution_sum(g, args.lo, args.hi)
-    wall = {"compute": time.perf_counter() - t0}
-    print(
+    line = (
         f"g={args.g} lo={args.lo} hi={args.hi} "
         f"sum={format_value(res.sum)} prediction={format_value(res.prediction)}"
     )
-    obj = {
-        "g": args.g,
-        "lo": args.lo,
-        "hi": args.hi,
-        "sum": res.sum,
-        "prediction": res.prediction,
-    }
-    _emit_json(args, "equisum", obj, wall)
-    return 0
+    return line, {"g": args.g, "lo": args.lo, "hi": args.hi, **res._asdict()}
 
 
-def cmd_centered(args) -> int:
-    grid = parse_grid(args.grid)
-    t0 = time.perf_counter()
+def cmd_centered(args):
     rows = []
-    for n in grid:
+    for n in parse_grid(args.grid):
         value = discrepancy.centered_fraction_sum(n)
         normalized = abs(value) * math.log(n) ** 1.4 / n if n > 1 else 0.0
         rows.append((n, value, normalized))
-    wall = {"compute": time.perf_counter() - t0}
-    _emit_table(args, "centered", ("n", "centered_sum", "normalized"), rows, wall)
-    return 0
+    return None, Table(("n", "centered_sum", "normalized"), rows)
 
 
-def cmd_mertens(args) -> int:
-    grid = parse_grid(args.grid)
-    t0 = time.perf_counter()
+def cmd_mertens(args):
     rows = []
-    for x in grid:
+    for x in parse_grid(args.grid):
         value = asymptotics.mertens_log_sum(x)
         reference = math.log(x / 2.0) - GAMMA_DD[0]
         rows.append((x, value, reference, value - reference))
-    wall = {"compute": time.perf_counter() - t0}
-    _emit_table(args, "mertens", ("x", "sum", "reference", "deviation"), rows, wall)
-    return 0
+    return None, Table(("x", "sum", "reference", "deviation"), rows)
 
 
-def cmd_charsum(args) -> int:
+def cmd_charsum(args):
     grid = parse_grid(args.grid)
-    t0 = time.perf_counter()
     limit = asymptotics.compute_B("accelerated").s_value
     rows = []
     for x in grid:
         value = asymptotics.character_log_sum(x)
         rows.append((x, value, limit, value - limit))
-    wall = {"compute": time.perf_counter() - t0}
-    _emit_table(args, "charsum", ("x", "sum", "limit", "deviation"), rows, wall)
-    return 0
+    return None, Table(("x", "sum", "limit", "deviation"), rows)
 
 
-def cmd_constant_b(args) -> int:
-    t0 = time.perf_counter()
+def cmd_constant_b(args):
     ev = asymptotics.compute_B(args.mode, p_max=args.p_max, depth=args.depth)
-    wall = {"compute": time.perf_counter() - t0}
-    print(
+    line = (
         f"mode={ev.mode} B={format_value(ev.value)} "
         f"tail_bound={format_value(ev.tail_bound)}"
     )
-    _emit_json(args, "constant-b", asdict(ev), wall)
-    return 0
+    return line, asdict(ev)
 
 
-def cmd_residuals(args) -> int:
-    if not 0.0 < args.theta < 4.0 / 9.0:
-        raise UsageError("theta must lie strictly between 0 and 4/9")
-    workers = args.workers = _resolve_workers(args.workers)
+def cmd_residuals(args):
     grid = parse_grid(args.grid)
-    t0 = time.perf_counter()
-    reps = asymptotics.residual_scan(grid, theta=args.theta, workers=workers)
-    wall = {"compute": time.perf_counter() - t0}
+    reps = asymptotics.residual_scan(grid, theta=args.theta, workers=args.workers)
     rows = [(r.n, r.log_L, r.main, r.r, r.normalized) for r in reps]
-    _emit_table(args, "residuals", ("n", "log_L", "main", "r", "r_normalized"), rows, wall)
-    return 0
+    return None, Table(("n", "log_L", "main", "r", "r_normalized"), rows)
 
 
 def cmd_verify(args) -> int:
-    results = run_verify(args.level)
+    results = verify.run_verify(args.level)
     for r in results:
         print(("PASS" if r.ok else "FAIL"), r.name, "::", r.detail)
     failures = [r for r in results if not r.ok]
@@ -346,17 +270,43 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _add_out(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, help="write the report to this path")
+def _flag(*names: str, **kwargs) -> tuple:
+    return names, kwargs
 
 
-def _add_workers(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: QUADLCM_WORKERS or 1)",
-    )
+_N = _flag("--n", type=int, required=True)
+_GRID = _flag("--grid", required=True, help="start:stop:factor")
+_WORKERS = _flag("--workers", type=int, default=None,
+                 help="worker processes (default: QUADLCM_WORKERS or 1)")
+_LO_HI = [_flag("--lo", type=int, required=True), _flag("--hi", type=int, required=True)]
+
+# (name, handler, help, flags); build_parser adds --out to every entry.
+COMMANDS = [
+    ("psi", cmd_psi, "Chebyshev psi(n) = log lcm(1..n)", [_N]),
+    ("counts", cmd_counts, "prime counts pi(n) and pi1(n)", [_N]),
+    ("roots", cmd_roots, "roots of x²+1 over primes in (lo, hi]", _LO_HI),
+    ("orders", cmd_orders, "alpha/beta order profile of one prime",
+     [_flag("--p", type=int, required=True), _N]),
+    ("lcm", cmd_lcm, "exact log L_n via the prime-order correction", [_N, _WORKERS]),
+    ("brute", cmd_brute, "exact-integer lcm oracle (capped)",
+     [_N, _flag("--cap", type=int, default=orders.ORACLE_CAP_DEFAULT)]),
+    ("badprimes", cmd_badprimes, "medium primes whose square divides some i²+1", [_N]),
+    ("decomp", cmd_decomp, "correction pieces split at the n^(2/3) boundary", [_N, _WORKERS]),
+    ("discrepancy", cmd_discrepancy, "exact star discrepancy of root fractions",
+     [_flag("--n", type=int, default=None),
+      _flag("--grid", default=None, help="start:stop:factor")]),
+    ("equisum", cmd_equisum, "weighted sum of a test function over root fractions",
+     [_flag("--g", choices=sorted(_TEST_FUNCTIONS), required=True), *_LO_HI]),
+    ("centered", cmd_centered, "centered fractional sums on a grid", [_GRID]),
+    ("mertens", cmd_mertens, "Mertens-type log sums on a grid", [_GRID]),
+    ("charsum", cmd_charsum, "character-weighted log sums on a grid", [_GRID]),
+    ("constant-b", cmd_constant_b, "the linear-term constant B",
+     [_flag("--mode", choices=("accelerated", "naive"), default="accelerated"),
+      _flag("--p-max", dest="p_max", type=int, default=10**6),
+      _flag("--depth", type=int, default=48)]),
+    ("residuals", cmd_residuals, "log L_n minus the n log n + B n main term",
+     [_GRID, _flag("--theta", type=float, default=0.44), _WORKERS]),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,98 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"quadlcm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("psi", help="Chebyshev psi(n) = log lcm(1..n)")
-    p.add_argument("--n", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_psi)
-
-    p = sub.add_parser("counts", help="prime counts pi(n) and pi1(n)")
-    p.add_argument("--n", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_counts)
-
-    p = sub.add_parser("roots", help="roots of x²+1 over primes in (lo, hi]")
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("orders", help="alpha/beta order profile of one prime")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_orders)
-
-    p = sub.add_parser("lcm", help="exact log L_n via the prime-order correction")
-    p.add_argument("--n", type=int, required=True)
-    _add_workers(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_lcm)
-
-    p = sub.add_parser("brute", help="exact-integer lcm oracle (capped)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=orders.ORACLE_CAP_DEFAULT)
-    _add_out(p)
-    p.set_defaults(func=cmd_brute)
-
-    p = sub.add_parser("badprimes", help="medium primes whose square divides some i²+1")
-    p.add_argument("--n", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_badprimes)
-
-    p = sub.add_parser("decomp", help="correction pieces split at the n^(2/3) boundary")
-    p.add_argument("--n", type=int, required=True)
-    _add_workers(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_decomp)
-
-    p = sub.add_parser("discrepancy", help="exact star discrepancy of root fractions")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--grid", default=None, help="start:stop:factor")
-    _add_out(p)
-    p.set_defaults(func=cmd_discrepancy)
-
-    p = sub.add_parser("equisum", help="weighted sum of a test function over root fractions")
-    p.add_argument("--g", choices=sorted(_TEST_FUNCTIONS), required=True)
-    p.add_argument("--lo", type=int, required=True)
-    p.add_argument("--hi", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=cmd_equisum)
-
-    p = sub.add_parser("centered", help="centered fractional sums on a grid")
-    p.add_argument("--grid", required=True, help="start:stop:factor")
-    _add_out(p)
-    p.set_defaults(func=cmd_centered)
-
-    p = sub.add_parser("mertens", help="Mertens-type log sums on a grid")
-    p.add_argument("--grid", required=True, help="start:stop:factor")
-    _add_out(p)
-    p.set_defaults(func=cmd_mertens)
-
-    p = sub.add_parser("charsum", help="character-weighted log sums on a grid")
-    p.add_argument("--grid", required=True, help="start:stop:factor")
-    _add_out(p)
-    p.set_defaults(func=cmd_charsum)
-
-    p = sub.add_parser("constant-b", help="the linear-term constant B")
-    p.add_argument("--mode", choices=("accelerated", "naive"), default="accelerated")
-    p.add_argument("--p-max", dest="p_max", type=int, default=10**6)
-    p.add_argument("--depth", type=int, default=48)
-    _add_out(p)
-    p.set_defaults(func=cmd_constant_b)
-
-    p = sub.add_parser("residuals", help="log L_n minus the n log n + B n main term")
-    p.add_argument("--grid", required=True, help="start:stop:factor")
-    p.add_argument("--theta", type=float, default=0.44)
-    _add_workers(p)
-    _add_out(p)
-    p.set_defaults(func=cmd_residuals)
+    for name, handler, help_text, flags in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
+        p.add_argument("--out", default=None, help="write the report to this path")
+        p.set_defaults(func=handler)
 
     p = sub.add_parser("verify", help="run the built-in invariant suites")
     p.add_argument("level", nargs="?", choices=("quick", "full"), default="quick")
-    p.set_defaults(func=cmd_verify)
-
     return parser
 
 
@@ -465,7 +332,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return cmd_verify(args) if args.command == "verify" else run_command(args)
     except OracleCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

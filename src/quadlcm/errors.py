@@ -16,8 +16,11 @@ class InvalidRangeError(QuadlcmError, ValueError):
 class NotOneModFourError(QuadlcmError, ValueError):
     """x^2 = -1 has no root for this modulus.
 
-    Raised for p = 2 beyond exponent 1 (i^2+1 is never divisible by 4) and
-    for any p = 3 mod 4, where -1 is a quadratic non-residue.
+    Raised by sqrt_minus_one and roots_mod_prime_power for p = 2 at every
+    exponent a >= 1 (its single root 1 is no pair) and for any p = 3 mod 4,
+    where -1 is a quadratic non-residue.  min_root(2, a) instead returns 1
+    for a = 1 and raises InvalidRangeError for a >= 2, since i^2+1 is never
+    divisible by 4.
     """
 
 

@@ -84,7 +84,9 @@ def _require(cond: bool, msg: str) -> None:
         raise AssertionError(msg)
 
 
-def _geometric(lo: int, hi: int, factor: int = 10) -> list[int]:
+def geometric(lo: int, hi: int, factor: int = 10) -> list[int]:
+    """lo, lo·factor, lo·factor², ... up to hi: the grid of every check and
+    of the CLI's start:stop:factor specs."""
     out = []
     n = lo
     while n <= hi:
@@ -140,7 +142,7 @@ def check_psi_oracle(p: VerifyParams) -> str:
 
 
 def check_pnt_ratios(p: VerifyParams) -> str:
-    for n in _geometric(10**5, p.grid_max):
+    for n in geometric(10**5, p.grid_max):
         pc = primes.prime_counts(n)
         ratio = pc.pi1 * 2 * math.log(n) / n
         _require(0.8 <= ratio <= 1.2,
@@ -278,7 +280,7 @@ def check_decomposition(p: VerifyParams) -> str:
     rep10 = orders.decomposition_report(10)
     want = math.log(5) + math.log(13) + math.log(17)
     _require(abs(rep10.beta_star_sum - want) < 1e-12, "beta* sum at n=10")
-    for n in _geometric(100, p.decomposition_max):
+    for n in geometric(100, p.decomposition_max):
         rep = orders.decomposition_report(n)
         _require(rep.identity_residue == 0, f"three-sum identity broken at n={n}")
         ev = orders.log_lcm_exact(n)
@@ -309,7 +311,7 @@ def check_medium_coefficient_sign(p: VerifyParams) -> str:
     _require(orders.square_divisor_primes(10) == [5], "square divisor primes at n=10")
     _require(orders.square_divisor_primes(3) == [], "square divisor primes at n=3")
     _require(orders.square_divisor_primes(7) == [5], "square divisor primes at n=7")
-    for n in _geometric(10**3, min(p.decomposition_max * 10, 10**6)):
+    for n in geometric(10**3, min(p.decomposition_max * 10, 10**6)):
         count = len(orders.square_divisor_primes(n))
         cap = 8 * n ** (2 / 3)
         _require(count <= cap, f"bad-prime census {count} > {cap:.0f} at n={n}")
@@ -384,7 +386,7 @@ def check_discrepancy_hand_values(p: VerifyParams) -> str:
 
 
 def check_discrepancy_decay(p: VerifyParams) -> str:
-    grid = _geometric(100, p.discrepancy_max)
+    grid = geometric(100, p.discrepancy_max)
     reps = [discrepancy.discrepancy(n) for n in grid]
     for a, b in zip(reps, reps[1:]):
         _require(b.D_exact < a.D_exact, f"D({b.n}) >= D({a.n})")
@@ -416,7 +418,7 @@ def check_equidistribution_sums(p: VerifyParams) -> str:
     for lo, hi in ((2, 1000), (10**3, 4 * 10**3)):
         _require(discrepancy.equidistribution_sum(odd, lo, hi).sum == 0.0,
                  f"odd-symmetric sum not exactly 0 on ({lo},{hi}]")
-    for n in _geometric(10**3, p.koksma_max):
+    for n in geometric(10**3, p.koksma_max):
         lo, hi = n, 2 * n
         dsc = discrepancy.discrepancy(hi)
         pi1 = primes.pi1_range(lo, hi)
@@ -434,7 +436,7 @@ def check_centered_sum(p: VerifyParams) -> str:
     _require(discrepancy.centered_fraction_sum(1) == 0.5, "centered n=1")
     _require(discrepancy.centered_fraction_sum(5) == 0.5, "centered n=5")
     first = None
-    for n in _geometric(10**3, p.grid_max):
+    for n in geometric(10**3, p.grid_max):
         v = abs(discrepancy.centered_fraction_sum(n)) * math.log(n) ** 1.4 / n
         if first is None:
             first = v
@@ -450,7 +452,7 @@ def check_prime_harmonics(p: VerifyParams) -> str:
              "charsum x=10")
     s_limit = asymptotics.compute_B("accelerated").s_value
     prev_dev = None
-    for n in _geometric(10**3, p.grid_max):
+    for n in geometric(10**3, p.grid_max):
         mert, char = asymptotics._prime_harmonic_sums(2 * n)
         dev = abs(mert - (math.log(n) - GAMMA_DD[0]))
         _require(dev * math.log(n) <= 5.0, f"Mertens envelope at n={n}: {dev:.4g}")
@@ -504,7 +506,7 @@ def check_residuals(p: VerifyParams) -> str:
     reps = asymptotics.residual_scan([1, 10])
     _require(abs(reps[1].r - (-1.1133)) < 2e-3, f"r(10) = {reps[1].r:.4f}")
     _require(abs(reps[0].r - 0.7594) < 2e-3, f"r(1) = {reps[0].r:.4f}")
-    grid = _geometric(10**3, p.residual_max)
+    grid = geometric(10**3, p.residual_max)
     reps = asymptotics.residual_scan(grid)
     ref = abs(reps[0].normalized)
     cal = abs(reps[0].eq6_vs_exact) * math.log(reps[0].n) ** 0.44 / reps[0].n

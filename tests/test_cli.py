@@ -129,8 +129,19 @@ def test_discrepancy_csv_columns(capsys):
 
 
 def test_discrepancy_requires_n_or_grid(capsys):
-    code, _, err = run(capsys, "discrepancy")
+    for argv in ([], ["--n", "13", "--grid", "100:1000:10"]):
+        code, out, err = run(capsys, "discrepancy", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: discrepancy")
+
+
+@pytest.mark.parametrize("argv", [["roots", "--lo", "1", "--hi", "5"], ["lcm", "--n", "10"]])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "x.dat"
+    code, _, err = run(capsys, *argv, "--out", str(out))
     assert code == 2
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 def test_equisum_hand_value(capsys):
