@@ -13,7 +13,8 @@ The central computational fact: alpha = beta for every prime p > 2n, so
     log L_n = log P_n − Σ_{p ≤ 2n} (alpha − beta) log p
 
 is exact, and the right side costs one sieve pass plus one root computation
-per prime instead of factoring n quadratic values.
+per prime instead of factoring n quadratic values: the roots mod p², p³, …
+are Newton lifts, each from the root of the level below.
 
 Primes split at the exact integer boundary p³ < n² ("small", below n^(2/3))
 versus p³ ≥ n² ("medium", up to 2n).  The medium correction decomposes
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from multiprocessing import Pool
 from typing import Callable, Sequence
 
@@ -109,12 +111,13 @@ def count_solutions_upto(p: int, a: int, n: int) -> int:
     return 2 + (n - pair.nu1) // pa + (n - pair.nu2) // pa
 
 
-def _order_counts(p: int, n: int) -> tuple[int, int, int]:
-    """(alpha, beta, alpha_star) for p ≡ 1 mod 4 by per-level root counts.
+def _order_counts(p: int, n: int, nu: int) -> tuple[int, int, int]:
+    """(alpha, beta, alpha_star) for p ≡ 1 mod 4 by per-level root counts,
+    from a root ν mod p lifted one Newton step per level (as in `lift_root`).
 
     Divisibility levels fill contiguously: if no i ≤ n has p^a | i²+1
     then no higher power divides any i²+1 with i ≤ n either, so the scan
-    stops at the first empty level.
+    stops at the first empty level.  Either root of a level counts the same.
     """
     limit = n * n + 1
     alpha = 0
@@ -123,7 +126,8 @@ def _order_counts(p: int, n: int) -> tuple[int, int, int]:
     pa = p
     a = 1
     while pa <= limit:
-        nu = _lifted_root(p, a)
+        if a > 1:
+            nu = (nu - (nu * nu + 1) * pow(2 * nu, -1, pa)) % pa
         c = 2 + (n - nu) // pa + (n - (pa - nu)) // pa
         if c == 0:
             break
@@ -168,7 +172,7 @@ def order_profile(p: int, n: int) -> OrderProfile:
         return OrderProfile(p=2, n=n, alpha=odd, beta=1, alpha_star=odd, beta_star=1)
     if p % 4 == 3:
         return OrderProfile(p=p, n=n, alpha=0, beta=0, alpha_star=0, beta_star=0)
-    alpha, beta, a_st = _order_counts(p, n)
+    alpha, beta, a_st = _order_counts(p, n, _lifted_root(p, 1))
     return OrderProfile(
         p=p, n=n, alpha=alpha, beta=beta, alpha_star=a_st, beta_star=1 if a_st else 0
     )
@@ -189,7 +193,9 @@ def _map_blocks(fn: Callable, blocks: Sequence, workers: int) -> list:
 
 def _logp_block(bounds: tuple[int, int]) -> float:
     lo, hi = bounds
-    return math.fsum(math.log(i * i + 1) for i in range(lo, hi + 1))
+    # i²+1 for i = lo … hi as running sums of the steps 2i+1 between them
+    steps = range(2 * lo + 1, 2 * hi, 2)
+    return math.fsum(map(math.log, accumulate(steps, initial=lo * lo + 1)))
 
 
 def log_P(n: int, workers: int = 1) -> float:
@@ -224,7 +230,7 @@ def _prime_block_task(args: tuple[int, int, int]):
     for p in iter_primes(lo, hi):
         if p % 4 != 1:
             continue
-        alpha, beta, a_st = _order_counts(p, n)
+        alpha, beta, a_st = _order_counts(p, n, _lifted_root(p, 1))
         lp = math.log(p)
         diff = alpha - beta
         if diff:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Iterator
 
 from .errors import InvalidRangeError
@@ -66,7 +67,7 @@ def _sieve_window(lo: int, hi: int, base: tuple[int, ...]) -> Iterator[int]:
     if first > hi:
         return
     size = (hi - first) // 2 + 1  # odd numbers first, first+2, ..., <= hi
-    comp = bytearray(size)
+    alive = bytearray(b"\x01") * size
     for p in base:
         if p == 2:
             continue
@@ -79,10 +80,8 @@ def _sieve_window(lo: int, hi: int, base: tuple[int, ...]) -> Iterator[int]:
             continue
         idx = (start - first) // 2
         count = (size - idx + p - 1) // p
-        comp[idx::p] = b"\x01" * count
-    for i in range(size):
-        if not comp[i]:
-            yield first + 2 * i
+        alive[idx::p] = bytes(count)
+    yield from compress(range(first, hi + 1, 2), alive)
 
 
 def iter_primes(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> Iterator[int]:

@@ -6,9 +6,10 @@ and no lift past a = 1 exists because i²+1 is 2 mod 4 for odd i.
 
 The root mod p is the closed form c^((p−1)/4) for a quadratic non-residue c,
 whose square is −1 by Euler's criterion: c = 2 when p ≡ 5 mod 8, else the
-least non-residue, so the output is a pure function of p.  Roots mod p^a
-are Newton (Hensel) lifts of it.  Each pass visits a prime once, so nothing
-is cached.
+least non-residue, read by quadratic reciprocity from p mod q for the odd
+primes q ≤ 61, so the output is a pure function of p.  Roots mod p^a are
+Newton (Hensel) lifts of it.  Each pass visits a prime once, so nothing is
+cached.
 """
 
 from __future__ import annotations
@@ -21,6 +22,12 @@ from .errors import InvalidRangeError, NotOneModFourError, RangeOverflowError
 from .primes import iter_primes, require_prime
 
 _MACHINE_MAX = (1 << 63) - 1
+
+# (q, the non-residues mod q) for the odd primes q ≤ 61
+_NON_RESIDUES = tuple(
+    (q, frozenset(range(1, q)) - {x * x % q for x in range(1, q)})
+    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+)
 
 
 @dataclass(frozen=True)
@@ -43,15 +50,23 @@ class RootStreamItem:
     fraction: Fraction
 
 
+def _least_non_residue(p: int) -> int:
+    """Least non-residue mod a prime p ≡ 1 mod 8: an odd prime q, and one
+    exactly when p mod q is one mod q, as (q/p) = (p/q) by reciprocity.
+    Euler's criterion takes over past 61 (first at p = 48473881: c = 67)."""
+    for q, non_residues in _NON_RESIDUES:
+        if p % q in non_residues:
+            return q
+    c, half = 67, (p - 1) // 2  # every c ≤ 66 is a product of residues
+    while pow(c, half, p) != p - 1:
+        c += 1
+    return c
+
+
 def _sqrt_minus_one_value(p: int) -> int:
     """Smaller root of x² ≡ −1 mod a prime p ≡ 1 mod 4: c^((p−1)/4) for a
-    non-residue c (2 when p ≡ 5 mod 8, else the least one)."""
-    c = 2
-    if p % 8 == 1:
-        half = (p - 1) // 2
-        c = 3  # 2 is a residue mod p ≡ 1 mod 8
-        while pow(c, half, p) != p - 1:
-            c += 1
+    non-residue c (2 when p ≡ 5 mod 8, else the least one, by reciprocity)."""
+    c = 2 if p % 8 == 5 else _least_non_residue(p)
     x = pow(c, (p - 1) // 4, p)
     return min(x, p - x)
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from quadlcm.errors import InvalidRangeError, OracleCapError, QuadlcmError
 from quadlcm.orders import (
+    _logp_block,
     alpha_exact,
     alpha_star,
     beta_exact,
@@ -99,6 +100,13 @@ def test_log_P_is_plain_sum():
     assert log_P(3) == pytest.approx(math.log(2 * 5 * 10), rel=1e-15)
 
 
+def test_logp_block_is_bit_exact():
+    # the block sum must be the same double as the plain per-term fsum
+    for lo, hi in ((1, 1), (7, 7), (1, 1000), (2**20 + 1, 2**20 + 5000)):
+        want = math.fsum(math.log(i * i + 1) for i in range(lo, hi + 1))
+        assert _logp_block((lo, hi)) == want, (lo, hi)
+
+
 def test_log_lcm_exact_hand_value():
     ev = log_lcm_exact(10)
     assert ev.log_L == pytest.approx(LOG_L10, rel=1e-13)
@@ -111,6 +119,46 @@ def test_log_lcm_exact_matches_bruteforce():
         want = log_lcm_bruteforce(n, cap=1000)
         got = log_lcm_exact(n).log_L
         assert got == pytest.approx(want, rel=1e-12), n
+
+
+def sieve_orders(n):
+    """{q: (alpha, beta)} for every prime q dividing some i²+1 with i ≤ n,
+    from a sieve of the values a[i] = i²+1 alone.
+
+    When the scan reaches i, every prime with a root below i has been
+    divided out, so a[i] is 1 or the one prime q whose smallest root is i
+    (two such primes would exceed i²+1).  Dividing q out along i + kq and
+    q − i + kq records every power of q.
+    """
+    a = [i * i + 1 for i in range(n + 1)]
+    found = {}
+    for i in range(1, n + 1):
+        q = a[i]
+        if q == 1:
+            continue
+        alpha = beta = 0
+        for start in {i, q - i}:  # one progression for q = 2
+            for j in range(start, n + 1, q):
+                e = 0
+                while a[j] % q == 0:
+                    a[j] //= q
+                    e += 1
+                alpha += e
+                beta = max(beta, e)
+        found[q] = (alpha, beta)
+    return found
+
+
+def test_orders_match_polynomial_sieve_at_scale():
+    n = 10**5
+    found = sieve_orders(n)
+    corr = math.fsum((al - be) * math.log(q) for q, (al, be) in found.items())
+    assert corr == pytest.approx(log_lcm_exact(n).correction, rel=1e-13)
+    for q in sympy.primerange(2, 2 * n + 1):
+        prof = order_profile(q, n)
+        assert found.pop(q, (0, 0)) == (prof.alpha, prof.beta), q
+    # past 2n every prime divides exactly one i²+1 of the range, once
+    assert set(found.values()) == {(1, 1)}
 
 
 def test_bruteforce_cap():

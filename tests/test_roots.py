@@ -9,8 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadlcm.errors import InvalidRangeError, NotOneModFourError, RangeOverflowError
+from quadlcm.primes import iter_primes
 from quadlcm.roots import (
     RootPair,
+    _least_non_residue,
     min_root,
     root_stream,
     roots_mod_prime_power,
@@ -73,11 +75,13 @@ def prime_one_mod_four(draw):
     return int(p)
 
 
-# Primes ≡ 1 mod 8 whose least non-residue sets a record (c = 5, 7, ..., 53),
-# so the ascending search runs longest, and primes ≡ 5 mod 8, where c = 2.
+# Primes ≡ 1 mod 8 whose least non-residue sets a record (c = 5, 7, ..., 67),
+# so the reciprocity table is scanned furthest, and primes ≡ 5 mod 8, where
+# c = 2.  22000801 has c = 59, inside the table; 48473881 has c = 67, past
+# it, and is the only one that reaches the Euler-criterion search.
 _RECORD_NON_RESIDUE = (
     73, 241, 1009, 2689, 8089, 33049, 53881, 87481,
-    483289, 515761, 1083289, 3818929, 9257329,
+    483289, 515761, 1083289, 3818929, 9257329, 22000801, 48473881,
 )
 _FIVE_MOD_EIGHT = (5, 13, 29, 1000037, 9999973)
 
@@ -97,6 +101,18 @@ def test_sqrt_minus_one_is_correct_and_minimal(p):
     assert 1 <= pair.nu1 < pair.nu2 < p
     assert pair.nu1 + pair.nu2 == p
     assert [pair.nu1, pair.nu2] == sorted(sympy.sqrt_mod(-1, p, all_roots=True))
+
+
+def test_least_non_residue_matches_euler_search():
+    for p in iter_primes(0, 10**6):
+        if p % 8 != 1:
+            continue
+        c = 3
+        while pow(c, (p - 1) // 2, p) != p - 1:
+            c += 1
+        assert _least_non_residue(p) == c, p
+    # past the reciprocity table: 2, 3, ..., 61 are all residues mod 48473881
+    assert _least_non_residue(48473881) == 67
 
 
 @given(prime_one_mod_four(), st.integers(min_value=2, max_value=4))
