@@ -4,6 +4,7 @@ import math
 import signal
 from contextlib import contextmanager
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -98,6 +99,28 @@ def test_log_P_is_plain_sum():
         assert log_P(n) == pytest.approx(want, rel=1e-15)
     assert log_P(1) == math.log(2)
     assert log_P(3) == pytest.approx(math.log(2 * 5 * 10), rel=1e-15)
+
+
+# n past the running-sum range: a spread up to 1e7, the four lcm-1e7
+# benchmark inputs and the residuals grid points
+LOG_P_SAMPLES = [
+    *range(3001, 10**7, 333_331),
+    10**4, 10**5, 10**6, 10**7, 9_999_991, 10_000_019, 9_999_973,
+]
+
+
+def test_log_P_is_correctly_rounded():
+    # the double nearest to a 50-digit value: a running sum of the logs up
+    # to n = 3000, then the identity Π(i²+1) = |Γ(n+1+i)|² · sinh π / π
+    with mpmath.workdps(50):
+        acc = mpmath.mpf(0)
+        for n in range(1, 3001):
+            acc += mpmath.log(n * n + 1)
+            assert log_P(n) == float(acc), n
+        c = mpmath.log(mpmath.pi / mpmath.sinh(mpmath.pi))
+        for n in LOG_P_SAMPLES:
+            want = 2 * mpmath.re(mpmath.loggamma(mpmath.mpc(n + 1, 1))) - c
+            assert log_P(n) == float(want), n
 
 
 def test_logp_block_is_bit_exact():
