@@ -4,8 +4,10 @@ Two precision tiers are used across the package:
 
 * scale sums over primes (millions of terms, ~1e-16 relative target) use
   Kahan compensation or exact block fsum, reduced in a fixed order;
-* the constant evaluation (~1e-25 target) uses double-word arithmetic
-  built on the error-free transformations two_sum and two_prod.
+* closed forms (~1e-25 target) use double-word arithmetic built on the
+  error-free transformations two_sum and two_prod: the constant B, and
+  log P_n through Stirling's series for log Γ, which is then correctly
+  rounded to a double.
 
 A double-word value is an ordinary tuple (hi, lo) of Python floats with
 hi = fl(hi + lo) and |lo| <= ulp(hi)/2, giving roughly 32 significant
@@ -129,14 +131,19 @@ def dd_to_float(x: DD) -> float:
 DD_ZERO: DD = (0.0, 0.0)
 DD_ONE: DD = (1.0, 0.0)
 
-# ln 2, pi and the Euler constant as double-word constants.  The decimal
-# expansions (first 21 digits) are
-#   ln 2  = 0.693147180559945309417...
-#   pi    = 3.141592653589793238462...
-#   gamma = 0.577215664901532860606...
+# ln 2, pi, the Euler constant, the Stirling constant ½ log 2π and
+# log |Γ(1+i)|² = log(π/sinh π) as double-word constants.  The decimal
+# expansions (first 21 decimals) are
+#   ln 2            =  0.693147180559945309417...
+#   pi              =  3.141592653589793238462...
+#   gamma           =  0.577215664901532860606...
+#   ½ log 2π        =  0.918938533204672741780...
+#   log(π/sinh π)   = -1.301846398603712677770...
 LN2_DD: DD = (0.6931471805599453, 2.3190468138462996e-17)
 PI_DD: DD = (3.141592653589793, 1.2246467991473532e-16)
 GAMMA_DD: DD = (0.5772156649015329, -4.942915152430645e-18)
+HALF_LOG_2PI_DD: DD = (0.9189385332046728, -3.8782941580672414e-17)
+LOG_PI_OVER_SINH_PI_DD: DD = (-1.3018463986037128, 8.443930502175205e-17)
 
 
 def dd_pow_int(x: DD, k: int) -> DD:
@@ -153,10 +160,10 @@ def dd_pow_int(x: DD, k: int) -> DD:
     return acc
 
 
-def _dd_atanh_small(t: DD) -> DD:
-    # atanh(t) = t + t^3/3 + t^5/5 + ...; callers guarantee |t| <= 0.4
-    # so the series gains at least 0.79 digits per term.
-    t2 = dd_mul(t, t)
+def _dd_odd_series(t: DD, t2: DD) -> DD:
+    # t + t·t2/3 + t·t2^2/5 + ...: atanh(t) for t2 = t², atan(t) for
+    # t2 = −t².  Callers guarantee |t| <= 0.4, so the series gains at
+    # least 0.79 digits per term.
     term = t
     acc = t
     k = 3
@@ -169,6 +176,11 @@ def _dd_atanh_small(t: DD) -> DD:
         k += 2
         if k > 401:  # unreachable for |t| <= 0.4; guards nontermination
             return acc
+
+
+def dd_atan_small(t: DD) -> DD:
+    """atan(t) in double-word precision for |t| <= 0.4."""
+    return _dd_odd_series(t, dd_neg(dd_mul(t, t)))
 
 
 @lru_cache(maxsize=4096)
@@ -188,7 +200,7 @@ def dd_log_dyadic(num: int, denom_pow2: int = 0) -> DD:
     scale = math.ldexp(1.0, -e)
     m = (m_num[0] * scale, m_num[1] * scale)  # exact: power-of-two scaling
     t = dd_div(dd_add(m, (-1.0, 0.0)), dd_add(m, (1.0, 0.0)))
-    at = _dd_atanh_small(t)
+    at = _dd_odd_series(t, dd_mul(t, t))
     out = dd_add(at, at)
     k = e - denom_pow2
     if k:

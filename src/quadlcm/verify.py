@@ -49,6 +49,7 @@ class VerifyParams:
     psi_oracle_max: int
     envelope_n: int
     workers_check_n: int
+    log_P_fsum_n: int
 
 
 QUICK = VerifyParams(
@@ -62,6 +63,7 @@ QUICK = VerifyParams(
     psi_oracle_max=2_000,
     envelope_n=500,
     workers_check_n=10**4,
+    log_P_fsum_n=10**5,
 )
 
 FULL = VerifyParams(
@@ -75,6 +77,7 @@ FULL = VerifyParams(
     psi_oracle_max=10**4,
     envelope_n=2_000,
     workers_check_n=10**6,
+    log_P_fsum_n=10**6,
 )
 
 
@@ -228,12 +231,24 @@ def check_count_solutions_upto(p: VerifyParams) -> str:
 
 def check_lcm_oracle(p: VerifyParams) -> str:
     acc = 1
+    prod = 1
     worst = 0.0
     prev = 0.0
     for n in range(1, p.oracle_cap + 1):
         acc = math.lcm(acc, n * n + 1)
+        prod *= n * n + 1
         want = log_of_bigint(acc)
         ev = orders.log_lcm_exact(n)
+        # log_of_bigint(P) = fl(log fl(m) + fl(e · fl(ln 2))) with m = P >> e
+        # of 53 bits; with r = log P and u = ulp(r) > r·2^-53, its errors
+        # are: m's truncation < 2^-52 <= u/32 (r > 36 once e > 0), log m
+        # < 1 ulp(log m) <= u, fl(ln 2) times e <= e·2^-54 < 0.73 u (as
+        # e·ln 2 <= r), and two roundings of u/2 each: under 2.8 u in all.
+        # log_P is correctly rounded (u/2), so the two differ by under 4 u,
+        # u taken at the larger of the two.
+        want_p = log_of_bigint(prod)
+        _require(abs(ev.log_P - want_p) <= 4 * math.ulp(max(ev.log_P, want_p)),
+                 f"log_P({n}) = {ev.log_P!r}, exact product gives {want_p!r}")
         rel = abs(ev.log_L - want) / want
         worst = max(worst, rel)
         _require(rel <= 1e-9, f"log L mismatch at n={n}: rel {rel:.2e}")
@@ -242,11 +257,14 @@ def check_lcm_oracle(p: VerifyParams) -> str:
         # assembled independently, so allow a few ulp of reassociation slack
         _require(ev.log_L >= prev - 1e-14 * max(1.0, prev), f"log L decreased at n={n}")
         prev = ev.log_L
-    _require(abs(orders.log_P(1) - math.log(2)) < 1e-12, "log_P(1)")
-    _require(abs(orders.log_P(3) - math.log(100)) < 1e-12, "log_P(3)")
-    n = 1000
-    stirling = 2 * n * math.log(n) - 2 * n
-    _require(abs(orders.log_P(n) - stirling) <= 12 * math.log(n), "log_P envelope")
+    # far out, against a plain sum of per-term logs: each term is off by at
+    # most ulp(log n²)/2, the fsum and log_P each round once more
+    n = p.log_P_fsum_n
+    want = math.fsum(math.log(i * i + 1) for i in range(1, n + 1))
+    got = orders.log_P(n)
+    bound = n * math.ulp(2 * math.log(n)) / 2 + math.ulp(want)
+    _require(abs(got - want) <= bound,
+             f"log_P({n}) = {got!r}, per-term fsum gives {want!r}")
     return f"exact vs oracle to n={p.oracle_cap}, worst rel {worst:.2e}"
 
 

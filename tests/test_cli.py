@@ -221,7 +221,7 @@ GOLDEN = [
      "p=5 n=10 alpha=5 beta=2 alpha_star=4 beta_star=1\n", None,
      "6f65684d1ee4348b3e1e6a5af3b25fa3f81ede89ebe27d9bf6b391825da40a2e", ["n", "p"]),
     (["lcm", "--n", "10"], "n=10 logL=21.2497962031\n", None,
-     "06b0b668d9ec614e508c21217c8c68e967a9dddc132417d5550277b98197e53d", ["n", "workers"]),
+     "a4d9e6f8af005292e3cf903f3099625dccd9c517c054c3efec239bc44f7466b9", ["n", "workers"]),
     (["brute", "--n", "10"], "n=10 logL=21.2497962031\n", None,
      "acc618d121627f5504feabbe9a20f7298d5007b02de2cf72ba893de9c95e5106", ["cap", "n"]),
     (["badprimes", "--n", "100"], "n=100 count=1 bound=172.354775203\n", "p\n29\n",

@@ -3,6 +3,7 @@
 import math
 import signal
 from contextlib import contextmanager
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import strategies as st
 
 from quadlcm.errors import InvalidRangeError, OracleCapError, QuadlcmError
 from quadlcm.orders import (
-    _logp_block,
+    LOG_P_MAX_N,
+    _log_P_dd,
     alpha_exact,
     alpha_star,
     beta_exact,
@@ -121,13 +123,6 @@ def test_log_P_is_correctly_rounded():
         for n in LOG_P_SAMPLES:
             want = 2 * mpmath.re(mpmath.loggamma(mpmath.mpc(n + 1, 1))) - c
             assert log_P(n) == float(want), n
-
-
-def test_logp_block_is_bit_exact():
-    # the block sum must be the same double as the plain per-term fsum
-    for lo, hi in ((1, 1), (7, 7), (1, 1000), (2**20 + 1, 2**20 + 5000)):
-        want = math.fsum(math.log(i * i + 1) for i in range(lo, hi + 1))
-        assert _logp_block((lo, hi)) == want, (lo, hi)
 
 
 def test_log_lcm_exact_hand_value():
@@ -247,6 +242,33 @@ def test_entry_points_return_or_raise_in_bounded_time(p, n, a):
                 fn(*args)
             except QuadlcmError:
                 pass
+
+
+@pytest.mark.parametrize("n", [1, 2, 22, 23, 24, 3000, 10**7, 2**100, LOG_P_MAX_N - 1])
+def test_log_P_dd_is_within_its_stated_bound(n):
+    # the double-word value before rounding, to the 1e-27 its docstring
+    # derives: rounding alone hides errors far larger than that
+    with mpmath.workdps(60):
+        c = mpmath.log(mpmath.pi / mpmath.sinh(mpmath.pi))
+        want = 2 * mpmath.re(mpmath.loggamma(mpmath.mpc(n + 1, 1))) - c
+        want = Fraction(mpmath.nstr(want, 55))
+    hi, lo = _log_P_dd(n)
+    assert abs(Fraction(hi) + Fraction(lo) - want) <= want * Fraction(1, 10**27)
+
+
+@given(st.integers(min_value=-10, max_value=10**400))
+@example(0)
+@example(1)
+@example(LOG_P_MAX_N - 1)
+@example(LOG_P_MAX_N)
+@settings(max_examples=60, deadline=None)
+def test_log_P_returns_a_finite_float_or_raises_in_bounded_time(n):
+    with _time_limit(2.0):
+        if 1 <= n < LOG_P_MAX_N:
+            assert math.isfinite(log_P(n))
+        else:
+            with pytest.raises(InvalidRangeError, match=r"1 <= n < 2\*\*511"):
+                log_P(n)
 
 
 def test_worker_count_never_changes_results():

@@ -11,10 +11,13 @@ from quadlcm.summation import (
     DD_ONE,
     DD_ZERO,
     GAMMA_DD,
+    HALF_LOG_2PI_DD,
     LN2_DD,
+    LOG_PI_OVER_SINH_PI_DD,
     PI_DD,
     KahanSum,
     dd_add,
+    dd_atan_small,
     dd_div,
     dd_from_fraction,
     dd_from_int,
@@ -39,6 +42,10 @@ with mpmath.workdps(60):
     GAMMA_REF = Fraction(mpmath.nstr(mpmath.euler + 0, 45))
     LN10_REF = Fraction(mpmath.nstr(mpmath.log(10), 45))
     LN3_REF = Fraction(mpmath.nstr(mpmath.log(3), 45))
+    HALF_LOG_2PI_REF = Fraction(mpmath.nstr(mpmath.log(2 * mpmath.pi) / 2, 45))
+    LOG_PI_OVER_SINH_PI_REF = Fraction(
+        mpmath.nstr(mpmath.log(mpmath.pi / mpmath.sinh(mpmath.pi)), 45)
+    )
 
 
 def as_fraction(dd):
@@ -133,6 +140,10 @@ def test_dd_constants_against_references():
     assert abs(as_fraction(LN2_DD) - LN2_REF) < Fraction(1, 10**31)
     assert abs(as_fraction(PI_DD) - PI_REF) < Fraction(1, 10**30)
     assert abs(as_fraction(GAMMA_DD) - GAMMA_REF) < Fraction(1, 10**31)
+    assert abs(as_fraction(HALF_LOG_2PI_DD) - HALF_LOG_2PI_REF) < Fraction(1, 10**31)
+    assert abs(
+        as_fraction(LOG_PI_OVER_SINH_PI_DD) - LOG_PI_OVER_SINH_PI_REF
+    ) < Fraction(1, 10**31)
     assert DD_ZERO == (0.0, 0.0)
     assert DD_ONE == (1.0, 0.0)
 
@@ -173,6 +184,14 @@ def test_dd_log_dyadic_high_precision(num, denom_pow2, ref):
             - 2 * LN2_REF
         )
     assert abs(got - ref) < Fraction(1, 10**29)
+
+
+@pytest.mark.parametrize("den", [3, 24, 1000, 10**7])
+def test_dd_atan_small_high_precision(den):
+    with mpmath.workdps(60):
+        ref = Fraction(mpmath.nstr(mpmath.atan(mpmath.mpf(1) / den), 45))
+    got = as_fraction(dd_atan_small(dd_from_fraction(Fraction(1, den))))
+    assert abs(got - ref) < ref * Fraction(1, 10**30)
 
 
 def test_dd_log_dyadic_rejects_nonpositive():
