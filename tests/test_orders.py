@@ -27,7 +27,7 @@ from quadlcm.orders import (
     order_profile,
     square_divisor_primes,
 )
-from quadlcm.roots import min_root, roots_mod_prime_power, sqrt_minus_one
+from quadlcm.roots import min_root, prime_roots, roots_mod_prime_power, sqrt_minus_one
 
 # log of the exact integer L_10 = 1693047850, frozen from the bigint oracle
 LOG_L10 = 21.24979620313569
@@ -130,6 +130,35 @@ def test_log_lcm_exact_hand_value():
     assert ev.log_L == pytest.approx(LOG_L10, rel=1e-13)
     assert ev.log_L == ev.log_P - ev.correction
     assert ev.two_term == (5 - 1) * math.log(2.0)
+
+
+# (correction, log_L) of log_lcm_exact, pinned bit for bit: n = 2**21 puts
+# 2n on a block edge, and the last two span two DEFAULT_SEGMENT blocks
+LCM_PINS = {
+    1: (0.0, 0.6931471805599453),
+    2: (0.0, 2.302585092994046),
+    3: (2.3025850929940455, 2.3025850929940463),
+    4: (2.3025850929940455, 5.135798437050262),
+    10: (10.165851817003619, 21.249796203135688),
+    1000: (4978.086895711635, 6847.470308163295),
+    2**21: (26470939.478142515, 30387444.04990866),
+    1_100_000: (13176005.614704281, 15227817.05893008),
+}
+
+
+@pytest.mark.parametrize("n", sorted(LCM_PINS))
+def test_log_lcm_exact_is_pinned(n):
+    ev = log_lcm_exact(n)
+    assert (ev.correction, ev.log_L) == LCM_PINS[n]
+
+
+def test_level_one_rule_above_n():
+    # for n < p <= 2n only p itself can divide some i²+1 with i <= n, and
+    # the smaller root ν <= p/2 <= n always does: α − β = [p − ν <= n]
+    for n in range(1, 301):
+        for p, nu in prime_roots(n, 2 * n):
+            prof = order_profile(p, n)
+            assert prof.alpha - prof.beta == (1 if nu and nu >= p - n else 0), (p, n)
 
 
 def test_log_lcm_exact_matches_bruteforce():
