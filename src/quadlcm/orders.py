@@ -12,11 +12,14 @@ The central computational fact: alpha = beta for every prime p > 2n, so
 
     log L_n = log P_n − Σ_{p ≤ 2n} (alpha − beta) log p
 
-is exact, and the right side costs one sieve pass plus one root computation
-per prime instead of factoring n quadratic values: the roots mod p², p³, …
-are Newton lifts, each from the root of the level below.  log P_n itself is
-a closed form, 2 Re log Γ(n+1+i) − log(π/sinh π), evaluated by Stirling's
-series in double-word arithmetic, so it costs the same at every n.
+is exact, and the right side is one fold over the (p, ν) stream of
+`roots.prime_roots` up to 2n instead of factoring n quadratic values: the
+roots mod p², p³, … are Hensel lifts, each from the root of the level
+below.  Above n only level 1 exists, since p² ≥ (n+1)² > n²+1, and the
+smaller root ν ≤ p/2 ≤ n always lies in range, so there α − β is exactly
+[p − ν ≤ n] and needs no lift.  log P_n itself is a closed form,
+2 Re log Γ(n+1+i) − log(π/sinh π), evaluated by Stirling's series in
+double-word arithmetic, so it costs the same at every n.
 
 Primes split at the exact integer boundary p³ < n² ("small", below n^(2/3))
 versus p³ ≥ n² ("medium", up to 2n).  The medium correction decomposes
@@ -34,6 +37,7 @@ from multiprocessing import Pool
 from typing import Callable, Sequence
 
 from .errors import InvalidRangeError, OracleCapError
+# iter_primes is unused here; perfbench/probe.py reads it (and _lifted_root)
 from .primes import DEFAULT_SEGMENT, iter_primes, require_prime
 from .roots import _lifted_root, lift_root, prime_roots, roots_mod_prime_power
 from .summation import (
@@ -143,7 +147,11 @@ def count_solutions_upto(p: int, a: int, n: int) -> int:
 
 def _order_counts(p: int, n: int, nu: int) -> tuple[int, int, int]:
     """(alpha, beta, alpha_star) for p ≡ 1 mod 4 by per-level root counts,
-    from a root ν mod p lifted one Newton step per level (as in `lift_root`).
+    from a root 0 < ν < p lifted one Hensel digit per level.
+
+    The lift from p^(a−1) adds t·p^(a−1) with ν²+1 = k·p^(a−1) and
+    t ≡ −k/(2ν) ≡ k·ν·(p+1)/2 mod p, since 1/ν ≡ −ν mod p: the same root
+    `lift_root`'s Newton step reaches, without a modular inverse.
 
     Divisibility levels fill contiguously: if no i ≤ n has p^a | i²+1
     then no higher power divides any i²+1 with i ≤ n either, so the scan
@@ -153,11 +161,13 @@ def _order_counts(p: int, n: int, nu: int) -> tuple[int, int, int]:
     alpha = 0
     beta = 0
     alpha_star = 0
+    half = (p + 1) >> 1
+    prev = 1
     pa = p
     a = 1
     while pa <= limit:
         if a > 1:
-            nu = (nu - (nu * nu + 1) * pow(2 * nu, -1, pa)) % pa
+            nu += (nu * nu + 1) // prev * nu * half % p * prev
         c = 2 + (n - nu) // pa + (n - (pa - nu)) // pa
         if c == 0:
             break
@@ -166,6 +176,7 @@ def _order_counts(p: int, n: int, nu: int) -> tuple[int, int, int]:
         if a == 1:
             alpha_star = c
         a += 1
+        prev = pa
         pa *= p
     return alpha, beta, alpha_star
 
@@ -270,17 +281,49 @@ def _log_P_dd(n: int) -> DD:
     return dd_sub(acc, dd_log_dyadic(math.prod(j * j + 1 for j in range(n + 1, y))))
 
 
-def _prime_block_task(args: tuple[int, int, int]):
-    """Accumulate every per-prime sum over primes in one window (lo, hi].
+def _blocks(n: int) -> list[tuple[int, int, int]]:
+    """The fixed prime windows (lo, hi] covering (0, 2n], one per segment."""
+    hi = 2 * n
+    return [
+        (k, min(k + DEFAULT_SEGMENT, hi), n) for k in range(0, hi, DEFAULT_SEGMENT)
+    ]
 
-    Returns (correction, small_sum, medium_high, beta_star_sum,
-    alpha_star_sum, alpha_star_reference, identity_residue, bad_primes).
-    Only p ≡ 1 mod 4 contribute; the quadratic-character weight in the
-    alpha_star reference kills p ≡ 3 mod 4 and p = 2 is the caller's.
+
+def _correction_block(args: tuple[int, int, int]) -> float:
+    """fsum of the nonzero (alpha − beta) log p over primes p in (lo, hi].
+
+    ν = 0 (p = 2, the caller's, and p ≡ 3 mod 4) contributes nothing.  For
+    n < p ≤ 2n only level 1 exists and ν ≤ p/2 ≤ n, so alpha − beta is 1
+    when the larger root p − ν is also ≤ n and 0 otherwise; ν = 0 never
+    passes that test since p − n ≥ 1.  Only p ≤ n is counted level by level.
+    """
+    lo, hi, n = args
+    terms: list[float] = []
+    for p, nu in prime_roots(lo, hi):
+        if p > n:
+            if nu >= p - n:
+                terms.append(math.log(p))
+        elif nu:
+            alpha, beta, _ = _order_counts(p, n, nu)
+            if alpha != beta:
+                terms.append((alpha - beta) * math.log(p))
+    return math.fsum(terms)
+
+
+def _correction_partials(n: int, workers: int) -> list[float]:
+    return _map_blocks(_correction_block, _blocks(n), workers)
+
+
+def _ledger_block(args: tuple[int, int, int]):
+    """Accumulate every per-prime piece of the decomposition over (lo, hi].
+
+    Returns (small_sum, medium_high, beta_star_sum, alpha_star_sum,
+    alpha_star_reference, identity_residue, bad_primes).  Only p ≡ 1 mod 4
+    contribute; the quadratic-character weight in the alpha_star reference
+    kills p ≡ 3 mod 4 and p = 2 is the caller's.
     """
     lo, hi, n = args
     nn = n * n
-    corr: list[float] = []
     small: list[float] = []
     medhigh: list[float] = []
     bstar: list[float] = []
@@ -288,14 +331,12 @@ def _prime_block_task(args: tuple[int, int, int]):
     aref: list[float] = []
     identity = 0
     bad: list[int] = []
-    for p in iter_primes(lo, hi):
-        if p % 4 != 1:
+    for p, nu in prime_roots(lo, hi):
+        if not nu:
             continue
-        alpha, beta, a_st = _order_counts(p, n, _lifted_root(p, 1))
+        alpha, beta, a_st = _order_counts(p, n, nu)
         lp = math.log(p)
         diff = alpha - beta
-        if diff:
-            corr.append(diff * lp)
         if p * p * p < nn:
             if diff:
                 small.append(diff * lp)
@@ -309,7 +350,6 @@ def _prime_block_task(args: tuple[int, int, int]):
             if beta >= 2:
                 bad.append(p)
     return (
-        math.fsum(corr),
         math.fsum(small),
         math.fsum(medhigh),
         math.fsum(bstar),
@@ -320,12 +360,8 @@ def _prime_block_task(args: tuple[int, int, int]):
     )
 
 
-def _correction_partials(n: int, workers: int) -> list:
-    hi = 2 * n
-    blocks = [
-        (k, min(k + DEFAULT_SEGMENT, hi), n) for k in range(0, hi, DEFAULT_SEGMENT)
-    ]
-    return _map_blocks(_prime_block_task, blocks, workers)
+def _ledger_partials(n: int, workers: int) -> list:
+    return _map_blocks(_ledger_block, _blocks(n), workers)
 
 
 def _two_term(n: int) -> float:
@@ -342,7 +378,7 @@ def log_lcm_exact(n: int, workers: int = 1) -> LcmEvaluation:
     acc = KahanSum()
     acc.add(two)
     for part in _correction_partials(n, workers):
-        acc.add(part[0])
+        acc.add(part)
     correction = acc.value
     return LcmEvaluation(
         n=n, log_P=logp, log_L=logp - correction, correction=correction, two_term=two
@@ -388,7 +424,7 @@ def decomposition_report(n: int, workers: int = 1) -> DecompositionReport:
     """All named pieces of the correction, split at the small/medium boundary."""
     if n < 2:
         raise InvalidRangeError("decomposition_report needs n >= 2")
-    parts = _correction_partials(n, workers)
+    parts = _ledger_partials(n, workers)
     small = KahanSum()
     medhigh = KahanSum()
     bstar = KahanSum()
@@ -397,13 +433,13 @@ def decomposition_report(n: int, workers: int = 1) -> DecompositionReport:
     identity = 0
     bad: list[int] = []
     for part in parts:
-        small.add(part[1])
-        medhigh.add(part[2])
-        bstar.add(part[3])
-        astar.add(part[4])
-        aref.add(part[5])
-        identity += part[6]
-        bad.extend(part[7])
+        small.add(part[0])
+        medhigh.add(part[1])
+        bstar.add(part[2])
+        astar.add(part[3])
+        aref.add(part[4])
+        identity += part[5]
+        bad.extend(part[6])
     return DecompositionReport(
         n=n,
         small_sum=small.value,

@@ -114,6 +114,10 @@ def dd_div(x: DD, y: DD) -> DD:
     return dd_add((s, e), (q3, 0.0))
 
 
+# the least integer that float() rounds up past the largest double
+_FLOAT_OVERFLOW_INT = 2**1024 - 2**970
+
+
 def dd_from_int(v: int) -> DD:
     hi = float(v)
     return hi, float(v - int(hi))
@@ -190,14 +194,17 @@ def dd_log_dyadic(num: int, denom_pow2: int = 0) -> DD:
     num must be a positive integer.  Every logarithm needed by the series
     code has this shape (integers and quarter-integers), which keeps the
     argument reduction exact: write num = m * 2^e with m in [1, 2), then
-    log = 2 atanh((m-1)/(m+1)) + (e - denom_pow2) ln 2.
+    log = 2 atanh((m-1)/(m+1)) + (e - denom_pow2) ln 2.  Where num is too
+    large to convert to a double, m is taken from the leading 110 bits of
+    num, within 2^-109 relative of the exact m.
     """
     if num <= 0:
         raise ValueError("dd_log_dyadic needs a positive integer numerator")
     e = num.bit_length() - 1
+    shift = e - 109 if num >= _FLOAT_OVERFLOW_INT else 0
     # m = num / 2^e in [1, 2); both m-1 and m+1 are exact dyadic doubles
-    m_num = dd_from_int(num)
-    scale = math.ldexp(1.0, -e)
+    m_num = dd_from_int(num >> shift)
+    scale = math.ldexp(1.0, shift - e)
     m = (m_num[0] * scale, m_num[1] * scale)  # exact: power-of-two scaling
     t = dd_div(dd_add(m, (-1.0, 0.0)), dd_add(m, (1.0, 0.0)))
     at = _dd_odd_series(t, dd_mul(t, t))

@@ -76,7 +76,7 @@ FULL = VerifyParams(
     koksma_max=10**5,
     psi_oracle_max=10**4,
     envelope_n=2_000,
-    workers_check_n=10**6,
+    workers_check_n=1_100_000,
     log_P_fsum_n=10**6,
 )
 
@@ -538,14 +538,22 @@ def check_residuals(p: VerifyParams) -> str:
 
 
 def check_worker_determinism(p: VerifyParams) -> str:
+    # a pool opens only from two blocks on (2n > DEFAULT_SEGMENT); the block
+    # partials are compared too, since two blocks reduced in the wrong order
+    # can still round to the same sum
     n = p.workers_check_n
     one = orders.log_lcm_exact(n, workers=1)
     two = orders.log_lcm_exact(n, workers=2)
     _require(one == two, "worker count changed the evaluation")
-    d1 = orders.decomposition_report(1000, workers=1)
-    d2 = orders.decomposition_report(1000, workers=3)
-    _require(d1 == d2, "worker count changed the decomposition")
-    return f"1- and 2-worker evaluations bit-identical at n={n}"
+    _require(orders._correction_partials(n, 1) == orders._correction_partials(n, 2),
+             "worker count changed the correction blocks")
+    d1 = orders.decomposition_report(n, workers=1)
+    d3 = orders.decomposition_report(n, workers=3)
+    _require(d1 == d3, "worker count changed the decomposition")
+    _require(orders._ledger_partials(n, 1) == orders._ledger_partials(n, 3),
+             "worker count changed the decomposition blocks")
+    blocks = len(orders._blocks(n))
+    return f"1-, 2- and 3-worker results bit-identical at n={n} ({blocks} blocks)"
 
 
 _CHECKS = [

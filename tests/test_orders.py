@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from quadlcm.errors import InvalidRangeError, OracleCapError, QuadlcmError
 from quadlcm.orders import (
     LOG_P_MAX_N,
+    _blocks,
+    _correction_partials,
+    _ledger_partials,
     _log_P_dd,
     alpha_exact,
     alpha_star,
@@ -305,6 +308,14 @@ def test_worker_count_never_changes_results():
     two = log_lcm_exact(3000, workers=2)
     assert one == two
     assert decomposition_report(500, workers=1) == decomposition_report(500, workers=2)
+    # two blocks, so workers > 1 opens a pool; two blocks reduced in the
+    # wrong order can still round to the same sum, so compare the blocks too
+    n = 1_100_000
+    assert len(_blocks(n)) == 2
+    assert log_lcm_exact(n, workers=1) == log_lcm_exact(n, workers=2)
+    assert _correction_partials(n, 1) == _correction_partials(n, 2)
+    assert decomposition_report(n, workers=1) == decomposition_report(n, workers=2)
+    assert _ledger_partials(n, 1) == _ledger_partials(n, 2)
 
 
 def test_decomposition_identity_and_beta_star():

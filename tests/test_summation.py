@@ -194,6 +194,18 @@ def test_dd_atan_small_high_precision(den):
     assert abs(got - ref) < ref * Fraction(1, 10**30)
 
 
+@pytest.mark.parametrize(
+    "num, denom_pow2",
+    [(2**1024 - 1, 0), (2**1024, 0), (2**1100 + 1, 0), (10**400, 0), (3**5000 + 7, 13)],
+)
+def test_dd_log_dyadic_past_the_double_range(num, denom_pow2):
+    # float(num) overflows from 2^1024 on, and 2^-e underflows past e = 1074
+    with mpmath.workdps(60):
+        ref = Fraction(mpmath.nstr(mpmath.log(num) - denom_pow2 * mpmath.log(2), 55))
+    got = as_fraction(dd_log_dyadic(num, denom_pow2))
+    assert abs(got - ref) < ref * Fraction(1, 10**30)
+
+
 def test_dd_log_dyadic_rejects_nonpositive():
     with pytest.raises(Exception):
         dd_log_dyadic(0)
