@@ -364,6 +364,14 @@ def _ledger_partials(n: int, workers: int) -> list:
     return _map_blocks(_ledger_block, _blocks(n), workers)
 
 
+def _kahan(parts: Sequence[float]) -> float:
+    """Block partials reduced in ascending block order."""
+    acc = KahanSum()
+    for part in parts:
+        acc.add(part)
+    return acc.value
+
+
 def _two_term(n: int) -> float:
     # alpha − beta at p = 2 is ⌈n/2⌉ − 1 exactly
     return ((n + 1) // 2 - 1) * math.log(2.0)
@@ -375,11 +383,7 @@ def log_lcm_exact(n: int, workers: int = 1) -> LcmEvaluation:
         raise InvalidRangeError("log_lcm_exact needs n >= 1")
     logp = log_P(n)
     two = _two_term(n)
-    acc = KahanSum()
-    acc.add(two)
-    for part in _correction_partials(n, workers):
-        acc.add(part)
-    correction = acc.value
+    correction = _kahan([two, *_correction_partials(n, workers)])
     return LcmEvaluation(
         n=n, log_P=logp, log_L=logp - correction, correction=correction, two_term=two
     )
@@ -424,31 +428,16 @@ def decomposition_report(n: int, workers: int = 1) -> DecompositionReport:
     """All named pieces of the correction, split at the small/medium boundary."""
     if n < 2:
         raise InvalidRangeError("decomposition_report needs n >= 2")
-    parts = _ledger_partials(n, workers)
-    small = KahanSum()
-    medhigh = KahanSum()
-    bstar = KahanSum()
-    astar = KahanSum()
-    aref = KahanSum()
-    identity = 0
-    bad: list[int] = []
-    for part in parts:
-        small.add(part[0])
-        medhigh.add(part[1])
-        bstar.add(part[2])
-        astar.add(part[3])
-        aref.add(part[4])
-        identity += part[5]
-        bad.extend(part[6])
+    small, medhigh, bstar, astar, aref, identity, bad = zip(*_ledger_partials(n, workers))
     return DecompositionReport(
         n=n,
-        small_sum=small.value,
-        medium_high_sum=medhigh.value,
-        beta_star_sum=bstar.value,
-        alpha_star_sum=astar.value,
+        small_sum=_kahan(small),
+        medium_high_sum=_kahan(medhigh),
+        beta_star_sum=_kahan(bstar),
+        alpha_star_sum=_kahan(astar),
         two_correction=_two_term(n),
-        bad_primes=tuple(bad),
+        bad_primes=tuple(p for block in bad for p in block),
         beta_star_reference=float(n),
-        alpha_star_reference=aref.value,
-        identity_residue=identity,
+        alpha_star_reference=_kahan(aref),
+        identity_residue=sum(identity),
     )
