@@ -1,5 +1,6 @@
 """Exact interval discrepancy, test functions, and equidistribution sums."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -199,3 +200,40 @@ def test_decay_scan_shape():
         decay_scan([1000, 100])
     with pytest.raises(InvalidRangeError):
         decay_scan([1, 100, 1000])
+
+
+# every consumer of roots.prime_roots pinned with ==, so that a change to
+# the stream (its window edges, p = 2, the p ≡ 3 mod 4 primes) shows
+CENTERED_PINS = {1: 0.5, 2: 0.0, 10: 0.2850678733031674, 10**4: -1.418183083687301}
+
+
+@pytest.mark.parametrize("n", sorted(CENTERED_PINS))
+def test_centered_fraction_sum_is_pinned(n):
+    assert centered_fraction_sum(n) == CENTERED_PINS[n]
+
+
+@pytest.mark.parametrize(
+    "lo, hi, want",
+    [(0, 10**4, (609.5, 609.0)), (1, 5, (1.5, 1.0)), (2, 3, (0.0, 0.0))],
+)
+def test_equidistribution_sum_is_pinned(lo, hi, want):
+    assert tuple(equidistribution_sum(identity_map(), lo, hi)) == want
+
+
+# n: (pi_n, sample size, sha256 of the sorted items as "num/den,...")
+COLLECT_PINS = {
+    2: (1, 1, "d939926f05444b0f4495fb9629ecbfa80d99a8ec1a20d06800ca5a3d5f4fd276"),
+    3: (2, 1, "d939926f05444b0f4495fb9629ecbfa80d99a8ec1a20d06800ca5a3d5f4fd276"),
+    5: (3, 3, "f0dccaa50931a6b79c0604961c6af9f39b7158ec5a5b1f9889b8b2b1834cd91a"),
+    10**4: (
+        1229, 1219, "c6f696a6a27300ba100f10f64d5e3387cc7d1e6504a0e26b3abcea7721fcfd9d"
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(COLLECT_PINS))
+def test_collect_fractions_is_pinned(n):
+    s = collect_fractions(n)
+    text = ",".join(f"{f.numerator}/{f.denominator}" for f in s.items)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert (s.pi_n, len(s.items), digest) == COLLECT_PINS[n]

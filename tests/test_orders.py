@@ -1,5 +1,7 @@
 """Exact p-adic orders and the log-lcm decomposition against factoring oracles."""
 
+import dataclasses
+import hashlib
 import math
 import signal
 from contextlib import contextmanager
@@ -356,3 +358,44 @@ def test_square_divisor_primes_against_sympy():
                 if e >= 2 and p % 4 == 1 and p**3 >= n * n and p <= 2 * n:
                     want.add(int(p))
         assert square_divisor_primes(n) == sorted(want), n
+
+
+# every field of decomposition_report pinned with ==; at 1_100_000 the
+# bad primes are pinned by their count, their ends and a sha256 of the tuple
+DECOMPOSITION_PINS = {
+    2: (0.0, 0.0, 0.0, 0.0, 0.0, (), 2.0, 0.0, 0),
+    10: (
+        0.0, 0.0, 7.007600613951853, 14.40086370871569, 2.772588722239781,
+        (5,), 10.0, 15.86362183801, 0,
+    ),
+    1000: (
+        2751.1962719689136, 0.0, 908.6410805571197, 2789.651261200429,
+        345.8804430994127, (101,), 1000.0, 2851.1323894295992, 0,
+    ),
+    1_100_000: (
+        8048082.590711403, 0.0, 1093460.1801428988, 5840152.947974987,
+        381230.25616078934,
+        (13, 12101, 53353,
+         "a2cd45d6481035bb41c7c8fd7e3a473cdeac7c0e56f080cc727fb5392f5351de"),
+        1100000.0, 5840535.827274795, 0,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(DECOMPOSITION_PINS))
+def test_decomposition_report_is_pinned(n):
+    rep = decomposition_report(n)
+    fields = dataclasses.astuple(rep)
+    assert fields[0] == n
+    got = list(fields[1:])
+    bad = rep.bad_primes
+    if len(bad) > 3:
+        digest = hashlib.sha256(repr(bad).encode()).hexdigest()
+        got[5] = (len(bad), bad[0], bad[-1], digest)
+    assert tuple(got) == DECOMPOSITION_PINS[n]
+
+
+def test_square_divisor_primes_is_pinned():
+    assert square_divisor_primes(10**5) == [
+        2689, 2909, 2917, 3137, 3793, 4289, 5741, 10301, 33461,
+    ]

@@ -149,3 +149,16 @@ def test_root_stream_fraction_in_unit_interval():
     for item in root_stream(1, 500):
         assert 0 < item.fraction < 1
         assert item.fraction.denominator == item.p
+
+
+def test_root_stream_matches_brute_force_on_every_small_window():
+    for hi in range(41):
+        for lo in range(hi + 1):
+            want = [
+                (p, x)
+                for p in range(lo + 1, hi + 1)
+                if sympy.isprime(p)
+                for x in range(1, p)
+                if (x * x + 1) % p == 0
+            ]
+            assert [(it.p, it.nu) for it in root_stream(lo, hi)] == want, (lo, hi)
