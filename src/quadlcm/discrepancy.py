@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Protocol
 
 from .errors import EmptySampleError, InvalidRangeError
+from .primes import count_primes
 from .roots import prime_roots
 from .summation import KahanSum
 
@@ -71,17 +72,12 @@ def collect_fractions(n: int) -> FractionSample:
     """All root fractions for primes up to n, sorted, with pi(n)."""
     if n < 2:
         raise EmptySampleError(f"no primes up to {n}, sample undefined")
-    pts: list[Fraction] = []
-    pi = 0
+    pts = [Fraction(1, 2)]
     for p, nu in prime_roots(0, n):
-        pi += 1
-        if p == 2:
-            pts.append(Fraction(1, 2))
-        elif nu:
-            pts.append(Fraction(nu, p))
-            pts.append(Fraction(p - nu, p))
+        pts.append(Fraction(nu, p))
+        pts.append(Fraction(p - nu, p))
     pts.sort()
-    return FractionSample(n=n, items=tuple(pts), pi_n=pi)
+    return FractionSample(n=n, items=tuple(pts), pi_n=count_primes(0, n))
 
 
 def discrepancy_of_sample(sample: FractionSample) -> DiscrepancyReport:
@@ -257,13 +253,12 @@ def equidistribution_sum(
         raise InvalidRangeError(f"empty window: ({lo}, {hi}]")
     acc = KahanSum()
     pi1 = 0
+    if lo < 2 <= hi:
+        acc.add(float(g(Fraction(1, 2))))
     for p, nu in prime_roots(lo, hi):
-        if p == 2:
-            acc.add(float(g(Fraction(1, 2))))
-        elif nu:
-            pi1 += 1
-            pair = g(Fraction(nu, p)) + g(Fraction(p - nu, p))
-            acc.add(float(pair))
+        pi1 += 1
+        pair = g(Fraction(nu, p)) + g(Fraction(p - nu, p))
+        acc.add(float(pair))
     prediction = float(2 * pi1 * g.integral())
     return EquidistributionSum(sum=acc.value, prediction=prediction)
 
@@ -278,13 +273,11 @@ def centered_fraction_sum(n: int) -> float:
     if n < 1:
         raise InvalidRangeError("centered_fraction_sum needs n >= 1")
     acc = KahanSum()
+    acc.add(0.5 - ((n - 1) % 2) * 0.5)
     for p, nu in prime_roots(0, 2 * n):
-        if p == 2:
-            acc.add(0.5 - ((n - 1) % 2) * 0.5)
-        elif nu:
-            r1 = (n - nu) % p
-            r2 = (n + nu) % p
-            acc.add((p - r1 - r2) / p)
+        r1 = (n - nu) % p
+        r2 = (n + nu) % p
+        acc.add((p - r1 - r2) / p)
     return acc.value
 
 

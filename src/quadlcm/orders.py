@@ -13,11 +13,19 @@ The central computational fact: alpha = beta for every prime p > 2n, so
     log L_n = log P_n − Σ_{p ≤ 2n} (alpha − beta) log p
 
 is exact, and the right side is one fold over the (p, ν) stream of
-`roots.prime_roots` up to 2n instead of factoring n quadratic values: the
+`roots.prime_roots` up to 2n (the p ≡ 1 mod 4; p = 2 is a closed form and
+p ≡ 3 mod 4 divides no i²+1) instead of factoring n quadratic values: the
 roots mod p², p³, … are Hensel lifts, each from the root of the level
-below.  Above n only level 1 exists, since p² ≥ (n+1)² > n²+1, and the
-smaller root ν ≤ p/2 ≤ n always lies in range, so there α − β is exactly
-[p − ν ≤ n] and needs no lift.  log P_n itself is a closed form,
+below.  For p ≤ 2n the smaller root ν ≤ p/2 ≤ n lies in range, so level 1
+is met and beta ≥ 1, and while no higher level is met
+
+    alpha − beta = alpha_star − 1 = 1 + ⌊(n−ν)/p⌋ + ⌊(n−p+ν)/p⌋.
+
+Above n that is [p − ν ≤ n], since p² ≥ (n+1)² > n²+1.  At p ≤ n levels
+fill contiguously, so a higher level is met exactly when the smaller root
+mod p² is ≤ n: one Hensel step screens each prime, and only the few
+hundred that pass (581 at n = 10⁷) are counted level by level.
+log P_n itself is a closed form,
 2 Re log Γ(n+1+i) − log(π/sinh π), evaluated by Stirling's series in
 double-word arithmetic, so it costs the same at every n.
 
@@ -39,7 +47,7 @@ from typing import Callable, Sequence
 from .errors import InvalidRangeError, OracleCapError
 # iter_primes is unused here; perfbench/probe.py reads it (and _lifted_root)
 from .primes import DEFAULT_SEGMENT, iter_primes, require_prime
-from .roots import _lifted_root, lift_root, prime_roots, roots_mod_prime_power
+from .roots import _lifted_root, prime_roots, roots_mod_prime_power
 from .summation import (
     DD,
     HALF_LOG_2PI_DD,
@@ -145,13 +153,21 @@ def count_solutions_upto(p: int, a: int, n: int) -> int:
     return 2 + (n - pair.nu1) // pa + (n - pair.nu2) // pa
 
 
+def _lift(p: int, nu: int, pk: int) -> int:
+    """Smaller root mod p^(k+1) above a root ν of x² ≡ −1 mod p^k.
+
+    It is ν + t·p^k with ν²+1 = m·p^k and t ≡ −m/(2ν) ≡ m·ν·(p+1)/2 mod p,
+    since 1/ν ≡ −ν mod p: the root `lift_root`'s Newton step reaches,
+    without a modular inverse.  The other root is p^(k+1) minus it.
+    """
+    x = nu + ((nu * nu + 1) // pk * nu * (p + 1) >> 1) % p * pk
+    q = p * pk
+    return x if x + x < q else q - x
+
+
 def _order_counts(p: int, n: int, nu: int) -> tuple[int, int, int]:
     """(alpha, beta, alpha_star) for p ≡ 1 mod 4 by per-level root counts,
-    from a root 0 < ν < p lifted one Hensel digit per level.
-
-    The lift from p^(a−1) adds t·p^(a−1) with ν²+1 = k·p^(a−1) and
-    t ≡ −k/(2ν) ≡ k·ν·(p+1)/2 mod p, since 1/ν ≡ −ν mod p: the same root
-    `lift_root`'s Newton step reaches, without a modular inverse.
+    from a root 0 < ν < p lifted one Hensel digit per level by `_lift`.
 
     Divisibility levels fill contiguously: if no i ≤ n has p^a | i²+1
     then no higher power divides any i²+1 with i ≤ n either, so the scan
@@ -161,13 +177,12 @@ def _order_counts(p: int, n: int, nu: int) -> tuple[int, int, int]:
     alpha = 0
     beta = 0
     alpha_star = 0
-    half = (p + 1) >> 1
     prev = 1
     pa = p
     a = 1
     while pa <= limit:
         if a > 1:
-            nu += (nu * nu + 1) // prev * nu * half % p * prev
+            nu = _lift(p, nu, prev)
         c = 2 + (n - nu) // pa + (n - (pa - nu)) // pa
         if c == 0:
             break
@@ -292,21 +307,20 @@ def _blocks(n: int) -> list[tuple[int, int, int]]:
 def _correction_block(args: tuple[int, int, int]) -> float:
     """fsum of the nonzero (alpha − beta) log p over primes p in (lo, hi].
 
-    ν = 0 (p = 2, the caller's, and p ≡ 3 mod 4) contributes nothing.  For
-    n < p ≤ 2n only level 1 exists and ν ≤ p/2 ≤ n, so alpha − beta is 1
-    when the larger root p − ν is also ≤ n and 0 otherwise; ν = 0 never
-    passes that test since p − n ≥ 1.  Only p ≤ n is counted level by level.
+    Every prime of the stream takes the level-1 formula of the module
+    docstring; only a p ≤ n whose smaller root mod p² is ≤ n, one `_lift`
+    away, is counted level by level.  p = 2 is the caller's.
     """
     lo, hi, n = args
+    log = math.log
     terms: list[float] = []
     for p, nu in prime_roots(lo, hi):
-        if p > n:
-            if nu >= p - n:
-                terms.append(math.log(p))
-        elif nu:
+        d = 1 + (n - nu) // p + (n - p + nu) // p
+        if p <= n and _lift(p, nu, p) <= n:
             alpha, beta, _ = _order_counts(p, n, nu)
-            if alpha != beta:
-                terms.append((alpha - beta) * math.log(p))
+            d = alpha - beta
+        if d:
+            terms.append(d * log(p))
     return math.fsum(terms)
 
 
@@ -318,9 +332,9 @@ def _ledger_block(args: tuple[int, int, int]):
     """Accumulate every per-prime piece of the decomposition over (lo, hi].
 
     Returns (small_sum, medium_high, beta_star_sum, alpha_star_sum,
-    alpha_star_reference, identity_residue, bad_primes).  Only p ≡ 1 mod 4
-    contribute; the quadratic-character weight in the alpha_star reference
-    kills p ≡ 3 mod 4 and p = 2 is the caller's.
+    alpha_star_reference, identity_residue, bad_primes).  Only the stream's
+    p ≡ 1 mod 4 contribute; the quadratic-character weight in the
+    alpha_star reference kills p ≡ 3 mod 4 and p = 2 is the caller's.
     """
     lo, hi, n = args
     nn = n * n
@@ -332,8 +346,6 @@ def _ledger_block(args: tuple[int, int, int]):
     identity = 0
     bad: list[int] = []
     for p, nu in prime_roots(lo, hi):
-        if not nu:
-            continue
         alpha, beta, a_st = _order_counts(p, n, nu)
         lp = math.log(p)
         diff = alpha - beta
@@ -420,7 +432,7 @@ def square_divisor_primes(n: int) -> list[int]:
     return [
         p
         for p, nu in prime_roots(1, n)
-        if p % 4 == 1 and p * p * p >= nn and lift_root(p, nu, 2) <= n
+        if p * p * p >= nn and _lift(p, nu, p) <= n
     ]
 
 

@@ -4,6 +4,13 @@ All windows use the half-open convention (lo, hi]: a prime p belongs to the
 window when lo < p <= hi.  Segment size is measured in integers; the sieve
 itself walks odd residues only, so the working set per segment is half the
 nominal window.
+
+Each segment is one odd-number mask, read three ways without a Python-level
+loop over its slots: `iter_primes` compresses the odd numbers by it,
+`iter_primes_one_mod_four` compresses every other odd number by a strided
+memoryview of it (the slots ≡ 1 mod 4, half of them, no copy), and
+`count_primes` counts its set bytes.  A segment's mask is freed before the
+next segment is sieved, so one is alive at a time.
 """
 
 from __future__ import annotations
@@ -11,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
-from typing import Iterator
+from itertools import chain, compress
+from typing import Callable, Iterator
 
 from .errors import InvalidRangeError
 from .summation import KahanSum
@@ -55,17 +62,13 @@ def _small_primes(limit: int) -> tuple[int, ...]:
     return (2,) + tuple(2 * i + 1 for i in range(1, size + 1) if not comp[i])
 
 
-def _sieve_window(lo: int, hi: int, base: tuple[int, ...]) -> Iterator[int]:
-    """Yield primes in (lo, hi] given base primes covering sqrt(hi)."""
-    if hi < 2 or hi <= lo:
-        return
-    if lo < 2 <= hi:
-        yield 2
-    first = max(lo + 1, 3)
-    if first % 2 == 0:
-        first += 1
+def _sieve_window(lo: int, hi: int, base: tuple[int, ...]) -> tuple[int, bytearray]:
+    """Odd-number mask of (lo, hi] given base primes covering sqrt(hi):
+    (first, alive) with alive[j] = 1 exactly when first + 2j is an odd
+    prime, first the least odd number ≥ max(lo + 1, 3).  2 is the caller's."""
+    first = max(lo + 1, 3) | 1
     if first > hi:
-        return
+        return first, bytearray()
     size = (hi - first) // 2 + 1  # odd numbers first, first+2, ..., <= hi
     alive = bytearray(b"\x01") * size
     for p in base:
@@ -81,23 +84,60 @@ def _sieve_window(lo: int, hi: int, base: tuple[int, ...]) -> Iterator[int]:
         idx = (start - first) // 2
         count = (size - idx + p - 1) // p
         alive[idx::p] = bytes(count)
-    yield from compress(range(first, hi + 1, 2), alive)
+    return first, alive
 
 
-def iter_primes(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> Iterator[int]:
-    """Stream primes in (lo, hi] in ascending order, one segment at a time."""
+def _odd_primes(lo: int, hi: int, base: tuple[int, ...]) -> Iterator[int]:
+    """The odd primes in (lo, hi]: every odd slot of the mask."""
+    first, alive = _sieve_window(lo, hi, base)
+    return compress(range(first, hi + 1, 2), alive)
+
+
+def _primes_one_mod_four(lo: int, hi: int, base: tuple[int, ...]) -> Iterator[int]:
+    """The primes p ≡ 1 mod 4 in (lo, hi]: every other odd slot of the
+    mask, read through a strided view of it, not a copy."""
+    first, alive = _sieve_window(lo, hi, base)
+    k = (first >> 1) & 1  # first + 2k ≡ 1 mod 4
+    return compress(range(first + 2 * k, hi + 1, 4), memoryview(alive)[k::2])
+
+
+def _window_count(lo: int, hi: int, base: tuple[int, ...]) -> int:
+    return _sieve_window(lo, hi, base)[1].count(1)
+
+
+def _windows(window: Callable, lo: int, hi: int, segment: int) -> Iterator:
+    """window(cur, top, base) for each segment (cur, top] of (lo, hi].
+
+    A bad window raises here, at the call.  Each result is yielded without
+    being bound, so one segment's mask is freed before the next is sieved.
+    """
     if hi < lo:
         raise InvalidRangeError(f"empty window: ({lo}, {hi}]")
     if lo < 0:
         raise InvalidRangeError("window must start at a non-negative bound")
-    if hi <= 1:
-        return
     base = _small_primes(math.isqrt(hi))
-    cur = lo
-    while cur < hi:
-        top = min(cur + segment, hi)
-        yield from _sieve_window(cur, top, base)
-        cur = top
+    starts = range(lo, hi, segment)
+    return (window(cur, min(cur + segment, hi), base) for cur in starts)
+
+
+def iter_primes(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> Iterator[int]:
+    """Stream primes in (lo, hi] in ascending order, one segment at a time."""
+    windows = _windows(_odd_primes, lo, hi, segment)
+    head = (2,) if lo < 2 <= hi else ()
+    return chain(head, chain.from_iterable(windows))
+
+
+def iter_primes_one_mod_four(
+    lo: int, hi: int, segment: int = DEFAULT_SEGMENT
+) -> Iterator[int]:
+    """Stream the primes p ≡ 1 mod 4 in (lo, hi] in ascending order."""
+    return chain.from_iterable(_windows(_primes_one_mod_four, lo, hi, segment))
+
+
+def count_primes(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> int:
+    """pi over (lo, hi]: the set slots of each segment's mask, plus 2."""
+    odd = sum(_windows(_window_count, lo, hi, segment))
+    return odd + (1 if lo < 2 <= hi else 0)
 
 
 def sieve_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> PrimeBlock:
@@ -158,7 +198,7 @@ def pi1_range(a: int, b: int) -> int:
     """Count primes p = 1 mod 4 with a < p <= b."""
     if b < a:
         raise InvalidRangeError(f"empty window: ({a}, {b}]")
-    return sum(1 for p in iter_primes(a, b) if p % 4 == 1)
+    return sum(1 for _ in iter_primes_one_mod_four(a, b))
 
 
 def chebyshev_psi(n: int) -> float:

@@ -5,21 +5,30 @@ any modulus p^a pair up as (nu, p^a − nu); for p = 2 the single root is 1
 and no lift past a = 1 exists because i²+1 is 2 mod 4 for odd i.
 
 The root mod p is the closed form c^((p−1)/4) for a quadratic non-residue c,
-whose square is −1 by Euler's criterion: c = 2 when p ≡ 5 mod 8, else the
-least non-residue, read by quadratic reciprocity from p mod q for the odd
-primes q ≤ 61, so the output is a pure function of p.  Roots mod p^a are
-Newton (Hensel) lifts of it.  Each pass visits a prime once, so nothing is
-cached.
+whose square is −1 by Euler's criterion.  c = 2 when p ≡ 5 mod 8.  For
+p ≡ 1 mod 8 it is the least non-residue among 3, 5, 7, 11, 13, read off a
+table of p mod 15015 = 3·5·7·11·13 (by reciprocity (q/p) = (p/q), since
+p ≡ 1 mod 4), and only when all five are residues (1 in 32 such p) the
+least one past them, found the same way up to 61 and by Euler's criterion
+beyond.  The smaller root does not depend on which non-residue is used:
+c^((p−1)/4) is one of the two roots ±ν whatever c, so the output is a pure
+function of p.  Roots mod p^a are Newton (Hensel) lifts of it.  Each pass
+visits a prime once, so nothing is cached.
+
+`prime_roots` is the one (p, ν) stream every root consumer folds over.  It
+holds only the primes with a root pair, p ≡ 1 mod 4, read from the sieve's
+1 mod 4 view, so ν is never 0; p = 2 (root 1) is each consumer's own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import tee
 from typing import Iterator
 
 from .errors import InvalidRangeError, NotOneModFourError, RangeOverflowError
-from .primes import iter_primes, require_prime
+from .primes import iter_primes_one_mod_four, require_prime
 
 _MACHINE_MAX = (1 << 63) - 1
 
@@ -28,6 +37,21 @@ _NON_RESIDUES = tuple(
     (q, frozenset(range(1, q)) - {x * x % q for x in range(1, q)})
     for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
 )
+
+# p mod 3·5·7·11·13 -> the least q of the five that is a non-residue mod a
+# prime p ≡ 1 mod 4 in that class, 0 when all five are residues
+_TABLE_MODULUS = 15015
+
+
+def _non_residue_table() -> bytes:
+    table = bytearray(_TABLE_MODULUS)
+    for q, non_residues in reversed(_NON_RESIDUES[:5]):  # smaller q last, on top
+        for r in non_residues:
+            table[r::q] = bytes((q,)) * len(range(r, _TABLE_MODULUS, q))
+    return bytes(table)
+
+
+_NON_RESIDUE_TABLE = _non_residue_table()
 
 
 @dataclass(frozen=True)
@@ -65,10 +89,13 @@ def _least_non_residue(p: int) -> int:
 
 def _sqrt_minus_one_value(p: int) -> int:
     """Smaller root of x² ≡ −1 mod a prime p ≡ 1 mod 4: c^((p−1)/4) for a
-    non-residue c (2 when p ≡ 5 mod 8, else the least one, by reciprocity)."""
-    c = 2 if p % 8 == 5 else _least_non_residue(p)
-    x = pow(c, (p - 1) // 4, p)
-    return min(x, p - x)
+    non-residue c (2 when p ≡ 5 mod 8, else from the table by p mod 15015)."""
+    if p & 7 == 5:
+        x = pow(2, p >> 2, p)
+    else:
+        c = _NON_RESIDUE_TABLE[p % _TABLE_MODULUS] or _least_non_residue(p)
+        x = pow(c, p >> 2, p)
+    return x if x + x < p else p - x
 
 
 def lift_root(p: int, nu: int, a: int) -> int:
@@ -87,14 +114,15 @@ def _lifted_root(p: int, a: int) -> int:
 
 
 def prime_roots(lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    """(p, ν) for every prime p in (lo, hi], ascending, from one sieve pass.
+    """(p, ν) for every prime p ≡ 1 mod 4 in (lo, hi], ascending, from one
+    sieve pass: ν is the smaller root of x² ≡ −1 mod p, so 0 < ν < p/2.
 
-    ν is the smaller root of x² ≡ −1 mod p when p ≡ 1 mod 4 and 0 for
-    every other prime (p = 2 has the single root 1, which callers add).
-    Every consumer of the root fractions folds over this one stream.
+    p = 2 and the primes p ≡ 3 mod 4 are not in the stream.  Every consumer
+    of the root fractions folds over this one stream.  A bad window raises
+    InvalidRangeError at the call.
     """
-    for p in iter_primes(lo, hi):
-        yield p, _sqrt_minus_one_value(p) if p % 4 == 1 else 0
+    ps, qs = tee(iter_primes_one_mod_four(lo, hi))
+    return zip(ps, map(_sqrt_minus_one_value, qs))
 
 
 def sqrt_minus_one(p: int) -> RootPair:
@@ -140,9 +168,9 @@ def root_stream(lo: int, hi: int) -> Iterator[RootStreamItem]:
     the ascending pair for p ≡ 1 mod 4.  An empty or negative window raises
     InvalidRangeError from the sieve.
     """
-    for p, nu in prime_roots(lo, hi):
-        if p == 2:
-            yield RootStreamItem(p=2, nu=1, fraction=Fraction(1, 2))
-        elif nu:
-            yield RootStreamItem(p=p, nu=nu, fraction=Fraction(nu, p))
-            yield RootStreamItem(p=p, nu=p - nu, fraction=Fraction(p - nu, p))
+    pairs = prime_roots(lo, hi)
+    if lo < 2 <= hi:
+        yield RootStreamItem(p=2, nu=1, fraction=Fraction(1, 2))
+    for p, nu in pairs:
+        yield RootStreamItem(p=p, nu=nu, fraction=Fraction(nu, p))
+        yield RootStreamItem(p=p, nu=p - nu, fraction=Fraction(p - nu, p))

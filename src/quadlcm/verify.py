@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from . import asymptotics, discrepancy, orders, primes, roots
 from .dirichlet import neg_log_deriv_zeta
@@ -126,7 +127,18 @@ def check_sieve_windows(p: VerifyParams) -> str:
              "pi(10) and pi1(10)")
     _require(primes.prime_counts(100).pi1 == 11, "pi1(100)")
     _require(primes.prime_counts(4).pi1 == 0, "pi1(4)")
-    return "seams and counts consistent"
+    # the 1 mod 4 view and the mask count against the all-primes walk
+    for top, segment in ((10**4, 64), (p.grid_max, primes.DEFAULT_SEGMENT)):
+        view = primes.iter_primes_one_mod_four(0, top, segment)
+        walk = (q for q in primes.iter_primes(0, top, segment) if q % 4 == 1)
+        _require(all(a == b for a, b in zip_longest(view, walk)),
+                 f"1 mod 4 view differs from the filtered primes up to {top}")
+    pc = primes.prime_counts(p.grid_max)
+    _require(primes.count_primes(0, p.grid_max) == pc.pi,
+             f"mask count differs from pi({p.grid_max})")
+    _require(sum(1 for _ in primes.iter_primes_one_mod_four(0, p.grid_max)) == pc.pi1,
+             f"1 mod 4 view size differs from pi1({p.grid_max})")
+    return f"seams, counts and the 1 mod 4 view consistent up to {p.grid_max}"
 
 
 def check_psi_oracle(p: VerifyParams) -> str:
@@ -179,6 +191,12 @@ def check_root_pairs(p: VerifyParams) -> str:
     _require(list(roots.root_stream(5, 12)) == [], "root_stream (5,12]")
 
     cap = p.root_modulus_cap
+    stream = list(roots.prime_roots(0, cap))
+    _require([q for q, _ in stream] == [q for q in primes.iter_primes(0, cap) if q % 4 == 1],
+             f"prime_roots primes differ from the p ≡ 1 mod 4 up to {cap}")
+    for q, nu in stream:
+        _require((nu * nu + 1) % q == 0 and 0 < 2 * nu < q,
+                 f"prime_roots gives ν = {nu} for p = {q}, not the smaller root")
     checked = 0
     for q in primes.iter_primes(0, cap):
         if q % 4 != 1:
@@ -198,7 +216,8 @@ def check_root_pairs(p: VerifyParams) -> str:
             checked += 1
             a += 1
             qa *= q
-    return f"{checked} prime-power moduli ≤ {cap} match brute-force root scans"
+    return (f"{checked} prime-power moduli ≤ {cap} match brute-force root scans, "
+            f"{len(stream)} stream roots are the smaller root")
 
 
 def check_count_solutions_upto(p: VerifyParams) -> str:

@@ -17,6 +17,7 @@ from quadlcm.errors import InvalidRangeError, OracleCapError, QuadlcmError
 from quadlcm.orders import (
     LOG_P_MAX_N,
     _blocks,
+    _correction_block,
     _correction_partials,
     _ledger_partials,
     _log_P_dd,
@@ -32,6 +33,7 @@ from quadlcm.orders import (
     order_profile,
     square_divisor_primes,
 )
+from quadlcm.primes import iter_primes
 from quadlcm.roots import min_root, prime_roots, roots_mod_prime_power, sqrt_minus_one
 
 # log of the exact integer L_10 = 1693047850, frozen from the bigint oracle
@@ -159,11 +161,30 @@ def test_log_lcm_exact_is_pinned(n):
 
 def test_level_one_rule_above_n():
     # for n < p <= 2n only p itself can divide some i²+1 with i <= n, and
-    # the smaller root ν <= p/2 <= n always does: α − β = [p − ν <= n]
+    # the smaller root ν <= p/2 <= n always does: α − β = [p − ν <= n];
+    # every prime is walked, p = 2 and p ≡ 3 mod 4 included, and the
+    # narrowed stream must hold exactly the p ≡ 1 mod 4 among them
     for n in range(1, 301):
-        for p, nu in prime_roots(n, 2 * n):
+        roots = dict(prime_roots(n, 2 * n))
+        for p in iter_primes(n, 2 * n):
             prof = order_profile(p, n)
-            assert prof.alpha - prof.beta == (1 if nu and nu >= p - n else 0), (p, n)
+            nu = roots.pop(p, None)
+            assert (nu is not None) == (p % 4 == 1), (p, n)
+            want = 1 if nu is not None and nu >= p - n else 0
+            assert prof.alpha - prof.beta == want, (p, n)
+        assert roots == {}, n
+
+
+def test_fold_coefficient_matches_order_profile_exhaustively():
+    # a window (p − 1, p] holds p alone, and fsum of one term is the term,
+    # so the fold's value there is its coefficient times log p, exactly
+    for n in range(1, 301):
+        for p in iter_primes(0, 2 * n):
+            if p % 4 != 1:
+                continue
+            prof = order_profile(p, n)
+            got = _correction_block((p - 1, p, n))
+            assert got == (prof.alpha - prof.beta) * math.log(p), (p, n)
 
 
 def test_log_lcm_exact_matches_bruteforce():

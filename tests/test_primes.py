@@ -11,8 +11,10 @@ from quadlcm.errors import InvalidRangeError
 from quadlcm.primes import (
     DEFAULT_SEGMENT,
     chebyshev_psi,
+    count_primes,
     is_prime,
     iter_primes,
+    iter_primes_one_mod_four,
     pi1_range,
     prime_counts,
     sieve_range,
@@ -120,3 +122,33 @@ def test_chebyshev_psi_counts_prime_powers_exactly():
 def test_psi_near_n_at_scale():
     n = 10**6
     assert chebyshev_psi(n) == pytest.approx(n, rel=2e-3)
+
+
+def _filtered(lo, hi, segment=DEFAULT_SEGMENT):
+    return [p for p in iter_primes(lo, hi, segment) if p % 4 == 1]
+
+
+def test_one_mod_four_view_equals_filtered_primes():
+    # each start parity and residue of the first odd slot, small segments
+    for lo in range(7):
+        for hi in (lo, lo + 1, lo + 2, 100, 1000):
+            want = _filtered(lo, hi)
+            assert list(iter_primes_one_mod_four(lo, hi, segment=64)) == want, (lo, hi)
+            assert list(iter_primes_one_mod_four(lo, hi)) == want, (lo, hi)
+    # across a DEFAULT_SEGMENT edge, from either side of it
+    edge = DEFAULT_SEGMENT
+    for lo in (edge - 1000, edge - 999, edge - 1):
+        assert list(iter_primes_one_mod_four(lo, edge + 1000)) == _filtered(lo, edge + 1000)
+    assert list(iter_primes_one_mod_four(0, 2 * edge)) == _filtered(0, 2 * edge, 64)
+
+
+def test_mask_count_equals_prime_counts():
+    for n in (0, 1, 2, 3, 10, 100, 1229, 10_000, DEFAULT_SEGMENT + 7):
+        assert count_primes(0, n) == prime_counts(n).pi, n
+        assert count_primes(0, n, segment=64) == prime_counts(n).pi, n
+    assert count_primes(1, 2) == 1 and count_primes(2, 2) == 0
+    assert count_primes(10, 30) == 6
+    with pytest.raises(InvalidRangeError):
+        count_primes(10, 5)
+    with pytest.raises(InvalidRangeError):
+        count_primes(-1, 5)

@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from quadlcm.errors import InvalidRangeError, NotOneModFourError, RangeOverflowError
 from quadlcm.primes import iter_primes
 from quadlcm.roots import (
+    _NON_RESIDUE_TABLE,
     RootPair,
     _least_non_residue,
+    _sqrt_minus_one_value,
+    prime_roots,
     min_root,
     root_stream,
     roots_mod_prime_power,
@@ -162,3 +165,40 @@ def test_root_stream_matches_brute_force_on_every_small_window():
                 if (x * x + 1) % p == 0
             ]
             assert [(it.p, it.nu) for it in root_stream(lo, hi)] == want, (lo, hi)
+
+
+def _least_of_five(r):
+    """The least q in 3, 5, 7, 11, 13 with r a non-residue mod q, else 0."""
+    return next((q for q in (3, 5, 7, 11, 13) if pow(r, (q - 1) // 2, q) == q - 1), 0)
+
+
+def test_non_residue_table_matches_its_definition():
+    assert len(_NON_RESIDUE_TABLE) == 15015
+    for r in range(15015):
+        assert _NON_RESIDUE_TABLE[r] == _least_of_five(r), r
+
+
+def test_kernel_gives_the_smaller_root_for_every_prime_below_a_million():
+    # the two roots are ±ν, so ν²+1 ≡ 0 and 0 < ν < p/2 pin the smaller one;
+    # the table entry must be a non-residue mod p itself (reciprocity)
+    for p in (*(q for q in iter_primes(0, 10**6) if q % 4 == 1), 22000801, 48473881):
+        nu = _sqrt_minus_one_value(p)
+        assert (nu * nu + 1) % p == 0 and 0 < 2 * nu < p, p
+        if p % 8 == 1:
+            on_p = next(
+                (q for q in (3, 5, 7, 11, 13) if pow(q, (p - 1) // 2, p) == p - 1), 0
+            )
+            assert _NON_RESIDUE_TABLE[p % 15015] == on_p, p
+    # all of 3, ..., 13 are residues mod 48473881: the kernel falls back
+    assert _NON_RESIDUE_TABLE[48473881 % 15015] == 0
+
+
+def test_prime_roots_holds_only_primes_one_mod_four():
+    for lo, hi in ((0, 1), (0, 2), (0, 5), (4, 5), (5, 13), (0, 10**4)):
+        pairs = list(prime_roots(lo, hi))
+        assert [p for p, _ in pairs] == [p for p in iter_primes(lo, hi) if p % 4 == 1]
+        assert all(nu == _sqrt_minus_one_value(p) for p, nu in pairs)
+    with pytest.raises(InvalidRangeError):
+        prime_roots(10, 5)
+    with pytest.raises(InvalidRangeError):
+        prime_roots(-1, 5)

@@ -55,6 +55,45 @@ def test_checks_still_check_under_python_O():
     assert "roots mod 5" in proc.stdout
 
 
+def test_stream_checks_still_check_under_python_O():
+    # a 1 mod 4 view missing p = 13, a mask count one too high and a stream
+    # giving the larger root above 1000 must each fail their check under -O
+    script = (
+        "from quadlcm import primes, roots, verify\n"
+        "def detail(check):\n"
+        "    try:\n"
+        "        check(verify.QUICK)\n"
+        "    except AssertionError as exc:\n"
+        "        return str(exc)\n"
+        "    return 'passed'\n"
+        "view, count, stream = primes.iter_primes_one_mod_four, primes.count_primes, "
+        "roots.prime_roots\n"
+        "primes.iter_primes_one_mod_four = lambda lo, hi, seg=primes.DEFAULT_SEGMENT: "
+        "(q for q in view(lo, hi, seg) if q != 13)\n"
+        "print(detail(verify.check_sieve_windows))\n"
+        "primes.iter_primes_one_mod_four = view\n"
+        "primes.count_primes = lambda lo, hi, seg=primes.DEFAULT_SEGMENT: "
+        "count(lo, hi, seg) + 1\n"
+        "print(detail(verify.check_sieve_windows))\n"
+        "primes.count_primes = count\n"
+        "roots.prime_roots = lambda lo, hi: "
+        "((q, q - nu if q > 1000 else nu) for q, nu in stream(lo, hi))\n"
+        "print(detail(verify.check_root_pairs))\n"
+        "print(__debug__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=300, env=env, check=True,
+    )
+    view, count, stream, debug = proc.stdout.splitlines()
+    assert debug == "False"
+    assert view.startswith("1 mod 4 view differs"), view
+    assert count.startswith("mask count differs"), count
+    assert stream.startswith("prime_roots gives"), stream
+
+
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         run_verify("exhaustive")
