@@ -1,6 +1,8 @@
 """Segmented sieve, prime counts and Chebyshev psi against sympy/bigint oracles."""
 
 import math
+import tracemalloc
+from collections import deque
 
 import pytest
 import sympy
@@ -10,6 +12,8 @@ from hypothesis import strategies as st
 from quadlcm.errors import InvalidRangeError
 from quadlcm.primes import (
     DEFAULT_SEGMENT,
+    _sieve_window,
+    _small_primes,
     chebyshev_psi,
     count_primes,
     is_prime,
@@ -152,3 +156,24 @@ def test_mask_count_equals_prime_counts():
         count_primes(10, 5)
     with pytest.raises(InvalidRangeError):
         count_primes(-1, 5)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_mask_is_alive_at_a_time():
+    # walking three segments peaks no higher than sieving one of them: a
+    # segment's mask is freed before the next one is sieved
+    segment = 1 << 18
+    hi = 3 * segment
+    base = _small_primes(math.isqrt(hi))
+    one = _traced_peak(lambda: _sieve_window(0, segment, base))
+    for walk in (iter_primes, iter_primes_one_mod_four):
+        assert _traced_peak(lambda: deque(walk(0, hi, segment), 0)) < 1.1 * one, walk
+    assert _traced_peak(lambda: count_primes(0, hi, segment)) < 1.1 * one
