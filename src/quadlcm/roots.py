@@ -91,10 +91,10 @@ def _sqrt_minus_one_value(p: int) -> int:
     """Smaller root of x² ≡ −1 mod a prime p ≡ 1 mod 4: c^((p−1)/4) for a
     non-residue c (2 when p ≡ 5 mod 8, else from the table by p mod 15015)."""
     if p & 7 == 5:
-        x = pow(2, p >> 2, p)
+        c = 2
     else:
         c = _NON_RESIDUE_TABLE[p % _TABLE_MODULUS] or _least_non_residue(p)
-        x = pow(c, p >> 2, p)
+    x = pow(c, p >> 2, p)
     return x if x + x < p else p - x
 
 
