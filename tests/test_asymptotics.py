@@ -111,6 +111,38 @@ def test_compute_b_depth_nesting():
     assert hi.tail_bound < lo.tail_bound
 
 
+# every accelerated field pinned with ==, at the default depth and the least
+COMPUTE_B_PINS = {
+    48: (
+        -0.0662756342130606,
+        -0.06627563421306071,
+        1.4925360785446321e-18,
+        -0.7030822911653791,
+        1.27445393952673e-19,
+    ),
+    16: (
+        -0.06627564697113009,
+        -0.06627564697113013,
+        6.891873921440892e-18,
+        -0.7030822784073096,
+        1.5289443797637176e-08,
+    ),
+}
+
+
+@pytest.mark.parametrize("depth", sorted(COMPUTE_B_PINS))
+def test_compute_b_accelerated_is_pinned(depth):
+    ev = compute_B("accelerated", depth=depth)
+    got = (ev.value, ev.value_hi, ev.value_lo, ev.s_value, ev.tail_bound)
+    assert got == COMPUTE_B_PINS[depth]
+    assert (ev.mode, ev.gamma_used, ev.p_max, ev.depth) == (
+        "accelerated",
+        GAMMA,
+        None,
+        depth,
+    )
+
+
 def test_compute_b_naive_mode():
     ev = compute_B("naive", p_max=10**5)
     assert ev.mode == "naive"
@@ -152,6 +184,48 @@ def test_residual_eq6_intermediate_matches_direct_assembly():
     assert rep.eq6_main == pytest.approx(want, rel=1e-12)
     assert rep.eq6_vs_exact == pytest.approx(rep.eq6_main - rep.log_L, abs=1e-9)
     assert rep.eq6_vs_closed == pytest.approx(rep.eq6_main - rep.main, abs=1e-9)
+
+
+# (n, log_L, main, r, normalized) of residual_scan pinned with ==; at
+# 1_100_000 (two blocks of the correction pass) log_L alone
+RESIDUAL_PINS = {
+    1: (1, 0.6931471805599453, -0.0662756342130606, 0.7594228147730059, 0.0),
+    2: (
+        2,
+        2.302585092994046,
+        1.2537430926937694,
+        1.0488420003002765,
+        0.4463168438804406,
+    ),
+    10: (
+        10,
+        21.249796203135688,
+        22.363094587809854,
+        -1.1132983846741666,
+        -0.16068912354451073,
+    ),
+    1000: (
+        1000,
+        6847.470308163295,
+        6841.479644769076,
+        5.990663394219155,
+        0.014021135071478454,
+    ),
+    10**5: (
+        100000,
+        1144699.2121582786,
+        1144664.983075717,
+        34.2290825615637,
+        0.001003037023841109,
+    ),
+}
+
+
+def test_residual_scan_is_pinned():
+    *reps, top = residual_scan(sorted(RESIDUAL_PINS) + [1_100_000])
+    got = {r.n: (r.n, r.log_L, r.main, r.r, r.normalized) for r in reps}
+    assert got == RESIDUAL_PINS
+    assert (top.n, top.log_L) == (1_100_000, 15227817.05893008)
 
 
 def test_residual_scan_validation():

@@ -5,7 +5,13 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from quadlcm.dirichlet import l4_em, neg_log_deriv_l4, neg_log_deriv_zeta, zeta_em
+from quadlcm.dirichlet import (
+    _em_coeff_logsum,
+    l4_em,
+    neg_log_deriv_l4,
+    neg_log_deriv_zeta,
+    zeta_em,
+)
 from quadlcm.errors import DivergentSeriesError, InvalidRangeError
 
 
@@ -92,3 +98,11 @@ def test_neg_log_derivatives():
     assert abs(as_fraction(got_z) - want_z) <= Fraction(1, 10**27)
     assert abs(as_fraction(got_l) - want_l) <= Fraction(1, 10**27)
     assert 0 <= bound_z < 1e-30 and 0 <= bound_l < 1e-30
+
+
+def test_em_coeff_logsum_equals_direct_sum():
+    # h_j(s) = sum of 1/(s+i) for i < 2j-1, at every (s, j) the series use
+    for s in range(1, 65):
+        for j in range(1, 22):
+            want = sum((Fraction(1, s + i) for i in range(2 * j - 1)), Fraction(0))
+            assert _em_coeff_logsum(s, j) == want
