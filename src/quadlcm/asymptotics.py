@@ -23,11 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import tee
+from operator import truediv
 
 from .errors import DivergentSeriesError, InvalidRangeError
 from .dirichlet import neg_log_deriv_l4, neg_log_deriv_zeta
 from .orders import log_lcm_exact
-from .primes import iter_primes
+from .primes import iter_primes, iter_primes_one_mod_four
 from .summation import (
     DD,
     DD_ONE,
@@ -97,7 +99,10 @@ class ResidualReport:
     eq6_main is the finite-sum intermediate 2n log n − n(1 + (log 2)/2
     + Σ_{2<p≤2n} (1+chi(p)) log p/(p−1)); replacing its two prime sums by
     their limits (Mertens-type and S) turns it into `main`, so
-    eq6_vs_closed measures exactly the finite-vs-limit slack.
+    eq6_vs_closed measures exactly the finite-vs-limit slack.  Since
+    1+chi(p) is 2 for p ≡ 1 mod 4 and 0 for p ≡ 3 mod 4, the prime sum is
+    evaluated as 2 Σ_{p≡1 (4), p≤2n} log p/(p−1): each term rounded once,
+    then one correctly rounded fsum.
     """
 
     n: int
@@ -120,6 +125,14 @@ def _prime_harmonic_sums(x: int) -> tuple[float, float]:
         mert.add(t)
         char.add(t if p % 4 == 1 else -t)
     return mert.value, char.value
+
+
+def _eq6_prime_sum(x: int) -> float:
+    """2 Σ log p/(p−1) over p ≡ 1 mod 4, p ≤ x, by one fsum at C level
+    (doubling is exact).  The two tee branches are read in lockstep, so
+    no list of primes is kept."""
+    a, b = tee(iter_primes_one_mod_four(0, x))
+    return 2.0 * math.fsum(map(truediv, map(math.log, a), map((1).__rsub__, b)))
 
 
 def mertens_log_sum(x: int) -> float:
@@ -288,7 +301,9 @@ def residual_scan(
     Eq.-style intermediate for comparison.
 
     normalized is r · (log n)^theta / n; theta must sit strictly inside
-    (0, 4/9), default just under the top.
+    (0, 4/9), default just under the top.  The eq6 prime sum streams only
+    the 1 mod 4 view of the sieve to 2n; ResidualReport says why that is
+    exact and how the sum is rounded.
     """
     if not grid:
         raise InvalidRangeError("empty grid")
@@ -306,11 +321,7 @@ def residual_scan(
         main = n * logn + b_value * n
         r = ev.log_L - main
         normalized = r * logn**theta / n if n > 1 else 0.0
-        if 2 * n >= 3:
-            mert, char = _prime_harmonic_sums(2 * n)
-        else:
-            mert, char = 0.0, 0.0
-        eq6_main = 2 * n * logn - n * (1.0 + HALF_LOG2 + mert + char)
+        eq6_main = 2 * n * logn - n * (1.0 + HALF_LOG2 + _eq6_prime_sum(2 * n))
         out.append(
             ResidualReport(
                 n=n,

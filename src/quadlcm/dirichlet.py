@@ -85,13 +85,28 @@ def _em_coeff(s: int, j: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _em_coeff_logsum(s: int, j: int) -> Fraction:
-    """h_j(s) = d/ds log (s)_{2j-1} = sum of 1/(s+i) for i < 2j-1."""
-    return sum((Fraction(1, s + i) for i in range(2 * j - 1)), Fraction(0))
+    """h_j(s) = d/ds log (s)_{2j-1} = sum of 1/(s+i) for i < 2j-1.
+
+    Built by the recurrence h_1 = 1/s, h_j = h_{j-1} + 1/(s+2j-3) +
+    1/(s+2j-2), so that each cached h_{j-1} is reused: two Fraction
+    additions per (s, j) instead of 2j-1.  The value is the same exact
+    rational either way.
+    """
+    if j == 1:
+        return Fraction(1, s)
+    head = _em_coeff_logsum(s, j - 1)
+    return head + Fraction(1, s + 2 * j - 3) + Fraction(1, s + 2 * j - 2)
+
+
+@lru_cache(maxsize=None)
+def _inv(m: int) -> DD:
+    """1/m in double-word, for the few hundred integers m the series use."""
+    return dd_div(DD_ONE, dd_from_int(m))
 
 
 def _inv_pow(m: int, e: int) -> DD:
     """m^-e for integers m >= 2, e >= 1."""
-    return dd_pow_int(dd_div(DD_ONE, dd_from_int(m)), e)
+    return dd_pow_int(_inv(m), e)
 
 
 @lru_cache(maxsize=None)
@@ -181,8 +196,8 @@ def l4_em(s: int) -> SeriesValue:
     dhalf = dd_sub(dd_mul(logb, bps), dd_mul(loga, aps))
     der = dd_add(der, (0.5 * dhalf[0], 0.5 * dhalf[1]))
     # corrections, with the 4^(2j-1) factor from absorbing 4^-s exactly
-    pow_a = dd_mul(aps, dd_div(DD_ONE, dd_from_int(a)))  # A^-(s+1)
-    pow_b = dd_mul(bps, dd_div(DD_ONE, dd_from_int(b)))
+    pow_a = dd_mul(aps, _inv(a))  # A^-(s+1)
+    pow_b = dd_mul(bps, _inv(b))
     inv_a2 = _inv_pow(a, 2)
     inv_b2 = _inv_pow(b, 2)
     four = 4

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 import sympy
 
+from quadlcm import asymptotics
 from quadlcm.asymptotics import (
     CHAR_PRINCIPAL,
     CHAR_QUADRATIC,
@@ -174,16 +175,31 @@ def test_residual_hand_values():
 
 
 def test_residual_eq6_intermediate_matches_direct_assembly():
-    n = 100
-    rep = residual_scan([n])[0]
-    prime_part = math.fsum(
-        (1 + (1 if int(p) % 4 == 1 else -1)) * math.log(int(p)) / (int(p) - 1)
-        for p in sympy.primerange(3, 2 * n + 1)
-    )
-    want = 2 * n * math.log(n) - n * (1.0 + HALF_LOG2 + prime_part)
-    assert rep.eq6_main == pytest.approx(want, rel=1e-12)
-    assert rep.eq6_vs_exact == pytest.approx(rep.eq6_main - rep.log_L, abs=1e-9)
-    assert rep.eq6_vs_closed == pytest.approx(rep.eq6_main - rep.main, abs=1e-9)
+    # Oracle: A − D with A = 2n log n and D = n(1 + (log 2)/2 + 2S),
+    # S = Σ_{p≡1 (4), p≤2n} log p/(p−1), at 40 digits.  Bound, with
+    # u = 2^-53 and math.log within one ulp (relative 2u): fl(2n·fl(log n))
+    # errs by ≤ 3u·A; each term fl(fl(log p)/(p−1)) by ≤ 3u of itself, so
+    # the positive sum's one correctly rounded fsum by ≤ 4u·S (doubling is
+    # exact); fl(1 + fl(log 2)/2) by ≤ 3u of itself; their sum C by ≤ 5u·C;
+    # fl(n·C) by ≤ 6u·D.  The final subtraction adds u·|eq6_main|, and
+    # u·|x| < ulp(x), so the gap is below (3A + 6D)/|eq6_main| + 1 ulps.
+    # With K = (A + D)/|eq6_main| the cancellation ratio, 6K + 2 covers
+    # that and the second-order terms.  At n = 1 the sum is empty (2n = 2).
+    grid = [1, 10, 100, 10**4]
+    for n, rep in zip(grid, residual_scan(grid)):
+        with mpmath.workdps(40):
+            s = mpmath.fsum(
+                mpmath.log(int(p)) / (int(p) - 1)
+                for p in sympy.primerange(2, 2 * n + 1)
+                if int(p) % 4 == 1
+            )
+            a = 2 * n * mpmath.log(n)
+            d = n * (1 + mpmath.log(2) / 2 + 2 * s)
+            gap = abs(mpmath.mpf(rep.eq6_main) - (a - d)) / math.ulp(rep.eq6_main)
+            k = (a + d) / abs(a - d)
+        assert gap <= 6 * k + 2, (n, gap, k)
+        assert rep.eq6_vs_exact == rep.eq6_main - rep.log_L
+        assert rep.eq6_vs_closed == rep.eq6_main - rep.main
 
 
 # (n, log_L, main, r, normalized) of residual_scan pinned with ==; at
@@ -242,9 +258,24 @@ def test_residual_scan_validation():
 
 
 def test_residual_scan_worker_determinism():
-    assert residual_scan([100, 1000], workers=1) == residual_scan(
-        [100, 1000], workers=2
-    )
+    # 1_100_000 spans two blocks of the correction pass, so workers=2
+    # opens a pool there
+    grid = [100, 1000, 1_100_000]
+    assert residual_scan(grid, workers=1) == residual_scan(grid, workers=2)
+
+
+def test_probe_layer_names_stay_bound():
+    # perfbench/probe.py times a residuals run by wrapping these module
+    # globals, so each must stay bound even where residual_scan no longer
+    # calls it
+    for name in (
+        "_prime_harmonic_sums",
+        "log_lcm_exact",
+        "compute_B",
+        "neg_log_deriv_zeta",
+        "neg_log_deriv_l4",
+    ):
+        assert callable(getattr(asymptotics, name))
 
 
 def test_theta_only_scales_normalization():
