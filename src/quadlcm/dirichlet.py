@@ -85,22 +85,18 @@ def _em_coeff(s: int, j: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _em_coeff_logsum(s: int, j: int) -> Fraction:
-    """h_j(s) = d/ds log (s)_{2j-1} = sum of 1/(s+i) for i < 2j-1.
-
-    Built by the recurrence h_1 = 1/s, h_j = h_{j-1} + 1/(s+2j-3) +
-    1/(s+2j-2), so that each cached h_{j-1} is reused: two Fraction
-    additions per (s, j) instead of 2j-1.  The value is the same exact
-    rational either way.
-    """
+    """h_j(s) = d/ds log (s)_{2j-1} = sum of 1/(s+i) for i < 2j-1, by the
+    recurrence h_1 = 1/s, h_j = h_{j-1} + 1/(s+2j-3) + 1/(s+2j-2) over the
+    cached h_{j-1}: two exact Fraction additions per (s, j)."""
     if j == 1:
         return Fraction(1, s)
-    head = _em_coeff_logsum(s, j - 1)
-    return head + Fraction(1, s + 2 * j - 3) + Fraction(1, s + 2 * j - 2)
+    step = Fraction(1, s + 2 * j - 3) + Fraction(1, s + 2 * j - 2)
+    return _em_coeff_logsum(s, j - 1) + step
 
 
 @lru_cache(maxsize=None)
 def _inv(m: int) -> DD:
-    """1/m in double-word, for the few hundred integers m the series use."""
+    """1/m in double-word, cached: the series use about 100 distinct m."""
     return dd_div(DD_ONE, dd_from_int(m))
 
 
