@@ -15,7 +15,7 @@ with P_quad(k) = Σ_p chi(p) log p · p^(−k).  Each P is recovered top-down
 from logarithmic derivatives of zeta and L(·, chi) via the von Mangoldt
 identity, with all arguments above 64 dropped and replaced by a rigorous
 majorant-tail bound.  Everything high-precision runs in double-word
-arithmetic; everything at prime scale runs compensated.
+arithmetic; every sum at prime scale is one correctly rounded fsum.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import tee
-from operator import truediv
+from operator import mul, truediv
+from typing import Iterator
 
 from .errors import DivergentSeriesError, InvalidRangeError
 from .dirichlet import neg_log_deriv_l4, neg_log_deriv_zeta
@@ -35,7 +36,6 @@ from .summation import (
     DD_ONE,
     GAMMA_DD,
     LN2_DD,
-    KahanSum,
     dd_add,
     dd_mul,
     dd_pow_int,
@@ -115,38 +115,40 @@ class ResidualReport:
     eq6_vs_closed: float
 
 
+def _harmonic_terms(primes: Iterator[int]) -> Iterator[float]:
+    """log p/(p−1) over a prime stream, each term rounded once, at C level
+    (the two tee branches are read in lockstep, so no list is kept)."""
+    a, b = tee(primes)
+    return map(truediv, map(math.log, a), map((1).__rsub__, b))
+
+
 def _prime_harmonic_sums(x: int) -> tuple[float, float]:
-    """(Σ log p/(p−1), Σ chi(p) log p/(p−1)) over odd primes p ≤ x,
-    one sieve pass, compensated, ascending."""
-    mert = KahanSum()
-    char = KahanSum()
-    for p in iter_primes(2, x):
-        t = math.log(p) / (p - 1)
-        mert.add(t)
-        char.add(t if p % 4 == 1 else -t)
-    return mert.value, char.value
+    """(Σ log p/(p−1), Σ chi(p) log p/(p−1)) over odd primes p ≤ x."""
+    return mertens_log_sum(x), character_log_sum(x)
 
 
 def _eq6_prime_sum(x: int) -> float:
-    """2 Σ log p/(p−1) over p ≡ 1 mod 4, p ≤ x, by one fsum at C level
-    (doubling is exact).  The two tee branches are read in lockstep, so
-    no list of primes is kept."""
-    a, b = tee(iter_primes_one_mod_four(0, x))
-    return 2.0 * math.fsum(map(truediv, map(math.log, a), map((1).__rsub__, b)))
+    """2 Σ log p/(p−1) over p ≡ 1 mod 4, p ≤ x, by one fsum (doubling is
+    exact)."""
+    return 2.0 * math.fsum(_harmonic_terms(iter_primes_one_mod_four(0, x)))
 
 
 def mertens_log_sum(x: int) -> float:
     """Σ log p/(p−1) over odd primes p ≤ x; grows like log(x/2) − gamma."""
     if x < 3:
         raise InvalidRangeError("mertens_log_sum needs x >= 3")
-    return _prime_harmonic_sums(x)[0]
+    return math.fsum(_harmonic_terms(iter_primes(2, x)))
 
 
 def character_log_sum(x: int) -> float:
     """Σ chi(p) log p/(p−1) over odd primes p ≤ x; converges as x grows."""
     if x < 3:
         raise InvalidRangeError("character_log_sum needs x >= 3")
-    return _prime_harmonic_sums(x)[1]
+    # chi(p) = 2 − p mod 4 on odd p; the ±1 product is exact, so each
+    # signed term is rounded once, and the sum is one pass
+    c, primes = tee(iter_primes(2, x))
+    chi = map((2).__sub__, map((4).__rmod__, c))
+    return math.fsum(map(mul, chi, _harmonic_terms(primes)))
 
 
 def _mangoldt_majorant(k: int, odd_only: bool) -> float:

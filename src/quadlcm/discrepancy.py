@@ -15,12 +15,12 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import NamedTuple, Protocol
 
 from .errors import EmptySampleError, InvalidRangeError
 from .primes import count_primes
 from .roots import prime_roots
-from .summation import KahanSum
 
 
 @dataclass(frozen=True)
@@ -246,21 +246,18 @@ def equidistribution_sum(
 
     Each prime's root pair is evaluated as one exact rational before the
     single rounding to float, so structural cancellations (mirror pairs,
-    odd symmetry about 1/2) survive exactly.  The window convention keeps
-    p = 2 out whenever lo ≥ 2.
+    odd symmetry about 1/2) survive exactly; one fsum adds the floats.
+    The window convention keeps p = 2 out whenever lo ≥ 2.
     """
     if hi <= lo:
         raise InvalidRangeError(f"empty window: ({lo}, {hi}]")
-    acc = KahanSum()
-    pi1 = 0
-    if lo < 2 <= hi:
-        acc.add(float(g(Fraction(1, 2))))
-    for p, nu in prime_roots(lo, hi):
-        pi1 += 1
-        pair = g(Fraction(nu, p)) + g(Fraction(p - nu, p))
-        acc.add(float(pair))
-    prediction = float(2 * pi1 * g.integral())
-    return EquidistributionSum(sum=acc.value, prediction=prediction)
+    pairs = [
+        float(g(Fraction(nu, p)) + g(Fraction(p - nu, p)))
+        for p, nu in prime_roots(lo, hi)
+    ]
+    two = float(g(Fraction(1, 2))) if lo < 2 <= hi else 0.0
+    prediction = float(2 * len(pairs) * g.integral())
+    return EquidistributionSum(sum=math.fsum([two, *pairs]), prediction=prediction)
 
 
 def centered_fraction_sum(n: int) -> float:
@@ -268,17 +265,14 @@ def centered_fraction_sum(n: int) -> float:
 
     For a mirror pair the two terms combine to 1 − (r₁+r₂)/p with
     r₁ = (n−nu) mod p and r₂ = (n+nu) mod p, one exactly-rounded float
-    per prime; p = 2 contributes 1/2 − ((n−1) mod 2)/2.
+    per prime; p = 2 contributes 1/2 − ((n−1) mod 2)/2.  One fsum adds them.
     """
     if n < 1:
         raise InvalidRangeError("centered_fraction_sum needs n >= 1")
-    acc = KahanSum()
-    acc.add(0.5 - ((n - 1) % 2) * 0.5)
-    for p, nu in prime_roots(0, 2 * n):
-        r1 = (n - nu) % p
-        r2 = (n + nu) % p
-        acc.add((p - r1 - r2) / p)
-    return acc.value
+    pairs = (
+        (p - (n - nu) % p - (n + nu) % p) / p for p, nu in prime_roots(0, 2 * n)
+    )
+    return math.fsum(chain((0.5 - ((n - 1) % 2) * 0.5,), pairs))
 
 
 @dataclass(frozen=True)

@@ -47,12 +47,11 @@ from typing import Callable, Sequence
 from .errors import InvalidRangeError, OracleCapError
 # iter_primes is unused here; perfbench/probe.py reads it (and _lifted_root)
 from .primes import DEFAULT_SEGMENT, iter_primes, require_prime
-from .roots import _lifted_root, prime_roots, roots_mod_prime_power
+from .roots import _lift, _lifted_root, prime_roots, roots_mod_prime_power
 from .summation import (
     DD,
     HALF_LOG_2PI_DD,
     LOG_PI_OVER_SINH_PI_DD,
-    KahanSum,
     dd_add,
     dd_atan_small,
     dd_from_fraction,
@@ -153,18 +152,6 @@ def count_solutions_upto(p: int, a: int, n: int) -> int:
     return 2 + (n - pair.nu1) // pa + (n - pair.nu2) // pa
 
 
-def _lift(p: int, nu: int, pk: int) -> int:
-    """Smaller root mod p^(k+1) above a root ν of x² ≡ −1 mod p^k.
-
-    It is ν + t·p^k with ν²+1 = m·p^k and t ≡ −m/(2ν) ≡ m·ν·(p+1)/2 mod p,
-    since 1/ν ≡ −ν mod p: the root `lift_root`'s Newton step reaches,
-    without a modular inverse.  The other root is p^(k+1) minus it.
-    """
-    x = nu + ((nu * nu + 1) // pk * nu * (p + 1) >> 1) % p * pk
-    q = p * pk
-    return x if x + x < q else q - x
-
-
 def _order_counts(p: int, n: int, nu: int) -> tuple[int, int, int]:
     """(alpha, beta, alpha_star) for p ≡ 1 mod 4 by per-level root counts,
     from a root 0 < ν < p lifted one Hensel digit per level by `_lift`.
@@ -235,11 +222,11 @@ def order_profile(p: int, n: int) -> OrderProfile:
 
 
 def _map_blocks(fn: Callable, blocks: Sequence, workers: int) -> list:
-    """Map over fixed blocks, reducing in ascending block order.
+    """Map fn over fixed blocks, serially or on a pool, in block order.
 
-    Block boundaries never depend on the worker count, and each block is
-    summed exactly on its own, so the reduced result is bit-identical
-    whether computed serially or on a pool.
+    Block boundaries never depend on the worker count, and callers reduce
+    the partials by one fsum, which rounds their exact sum once: neither
+    the worker count nor the order of the partials can change its bits.
     """
     if workers <= 1 or len(blocks) <= 1:
         return [fn(b) for b in blocks]
@@ -376,14 +363,6 @@ def _ledger_partials(n: int, workers: int) -> list:
     return _map_blocks(_ledger_block, _blocks(n), workers)
 
 
-def _kahan(parts: Sequence[float]) -> float:
-    """Block partials reduced in ascending block order."""
-    acc = KahanSum()
-    for part in parts:
-        acc.add(part)
-    return acc.value
-
-
 def _two_term(n: int) -> float:
     # alpha − beta at p = 2 is ⌈n/2⌉ − 1 exactly
     return ((n + 1) // 2 - 1) * math.log(2.0)
@@ -395,7 +374,7 @@ def log_lcm_exact(n: int, workers: int = 1) -> LcmEvaluation:
         raise InvalidRangeError("log_lcm_exact needs n >= 1")
     logp = log_P(n)
     two = _two_term(n)
-    correction = _kahan([two, *_correction_partials(n, workers)])
+    correction = math.fsum([two, *_correction_partials(n, workers)])
     return LcmEvaluation(
         n=n, log_P=logp, log_L=logp - correction, correction=correction, two_term=two
     )
@@ -443,13 +422,13 @@ def decomposition_report(n: int, workers: int = 1) -> DecompositionReport:
     small, medhigh, bstar, astar, aref, identity, bad = zip(*_ledger_partials(n, workers))
     return DecompositionReport(
         n=n,
-        small_sum=_kahan(small),
-        medium_high_sum=_kahan(medhigh),
-        beta_star_sum=_kahan(bstar),
-        alpha_star_sum=_kahan(astar),
+        small_sum=math.fsum(small),
+        medium_high_sum=math.fsum(medhigh),
+        beta_star_sum=math.fsum(bstar),
+        alpha_star_sum=math.fsum(astar),
         two_correction=_two_term(n),
         bad_primes=tuple(p for block in bad for p in block),
         beta_star_reference=float(n),
-        alpha_star_reference=_kahan(aref),
+        alpha_star_reference=math.fsum(aref),
         identity_residue=sum(identity),
     )

@@ -22,7 +22,6 @@ from itertools import chain, compress
 from typing import Callable, Iterator
 
 from .errors import InvalidRangeError
-from .summation import KahanSum
 
 # 2^21 integers (2^20 odd residues) per segment: fits L2 cache comfortably.
 DEFAULT_SEGMENT = 1 << 21
@@ -204,22 +203,23 @@ def pi1_range(a: int, b: int) -> int:
 def chebyshev_psi(n: int) -> float:
     """psi(n) = sum of log p over prime powers p^m <= n.
 
-    Exponents are found by exact integer multiplication (a floating
-    log-ratio can misround just below a perfect power).  Terms accumulate
-    in ascending prime order through a compensated sum.
+    A prime p ≤ √n adds k log p for the largest k with p^k ≤ n, found by
+    exact integer multiplication (a floating log-ratio can misround just
+    below a perfect power); every larger prime adds log p once.  The terms
+    are rounded once each and reduced by one fsum.
     """
     if n < 1:
         raise InvalidRangeError("chebyshev_psi needs n >= 1")
-    acc = KahanSum()
     root = math.isqrt(n)
-    for p in iter_primes(0, n):
-        if p > root:
-            acc.add(math.log(p))
-            continue
-        power = p
-        k = 1
-        while power <= n // p:
-            power *= p
-            k += 1
-        acc.add(k * math.log(p))
-    return acc.value
+    small = (_top_exponent(p, n) * math.log(p) for p in iter_primes(0, root))
+    return math.fsum(chain(small, map(math.log, iter_primes(root, n))))
+
+
+def _top_exponent(p: int, n: int) -> int:
+    """The largest k with p^k ≤ n, for p ≤ n."""
+    power = p
+    k = 1
+    while power <= n // p:
+        power *= p
+        k += 1
+    return k

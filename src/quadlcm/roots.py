@@ -98,14 +98,25 @@ def _sqrt_minus_one_value(p: int) -> int:
     return x if x + x < p else p - x
 
 
+def _lift(p: int, nu: int, pk: int) -> int:
+    """Smaller root mod p^(k+1) above a root ν of x² ≡ −1 mod p^k.
+
+    One Hensel (Newton) step on x²+1, without a modular inverse: the lift
+    is ν + t·p^k with ν²+1 = m·p^k and t ≡ −m/(2ν) ≡ m·ν·(p+1)/2 mod p,
+    since 1/ν ≡ −ν mod p.  The other root is p^(k+1) minus it.
+    """
+    x = nu + ((nu * nu + 1) // pk * nu * (p + 1) >> 1) % p * pk
+    q = p * pk
+    return x if x + x < q else q - x
+
+
 def lift_root(p: int, nu: int, a: int) -> int:
-    """Smaller root mod p^a above the root ν mod p: a − 1 Newton steps."""
-    mod = p
+    """Smaller root mod p^a above the root ν mod p: a − 1 `_lift` steps."""
+    pk = p
     for _ in range(a - 1):
-        mod *= p
-        # Newton step on f(x) = x²+1; 2x is a unit mod p^k since p is odd
-        nu = (nu - (nu * nu + 1) * pow(2 * nu, -1, mod)) % mod
-    return min(nu, mod - nu)
+        nu = _lift(p, nu, pk)
+        pk *= p
+    return min(nu, pk - nu)
 
 
 def _lifted_root(p: int, a: int) -> int:

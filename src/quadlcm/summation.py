@@ -1,13 +1,12 @@
-"""Compensated and double-word floating point kernels.
+"""Double-word floating point kernels, and the one summation rule.
 
-Two precision tiers are used across the package:
-
-* scale sums over primes (millions of terms, ~1e-16 relative target) use
-  Kahan compensation or exact block fsum, reduced in a fixed order;
-* closed forms (~1e-25 target) use double-word arithmetic built on the
-  error-free transformations two_sum and two_prod: the constant B, and
-  log P_n through Stirling's series for log Γ, which is then correctly
-  rounded to a double.
+Every sum over primes (millions of terms, each rounded once) is one
+correctly rounded `math.fsum`: it rounds the exact sum once, so neither the
+order of its terms nor the split of a range into blocks can change its bits.
+Closed forms (~1e-25 target) use double-word arithmetic built on the
+error-free transformations two_sum and two_prod: the constant B, and log P_n
+through Stirling's series for log Γ, which is then correctly rounded to a
+double.
 
 A double-word value is an ordinary tuple (hi, lo) of Python floats with
 hi = fl(hi + lo) and |lo| <= ulp(hi)/2, giving roughly 32 significant
@@ -25,32 +24,6 @@ DD = tuple[float, float]
 
 # Veltkamp splitter for 53-bit doubles: 2^27 + 1.
 _SPLITTER = 134217729.0
-
-
-class KahanSum:
-    """Streaming compensated accumulator (Kahan-Babuska variant).
-
-    Deterministic for a fixed sequence of inputs; callers must feed terms
-    in a reproducible order.
-    """
-
-    __slots__ = ("total", "compensation")
-
-    def __init__(self, start: float = 0.0) -> None:
-        self.total = start
-        self.compensation = 0.0
-
-    def add(self, x: float) -> None:
-        t = self.total + x
-        if abs(self.total) >= abs(x):
-            self.compensation += (self.total - t) + x
-        else:
-            self.compensation += (x - t) + self.total
-        self.total = t
-
-    @property
-    def value(self) -> float:
-        return self.total + self.compensation
 
 
 def two_sum(a: float, b: float) -> DD:

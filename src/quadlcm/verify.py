@@ -23,7 +23,6 @@ from .errors import EmptySampleError, NotOneModFourError
 from .summation import (
     DD_ZERO,
     GAMMA_DD,
-    KahanSum,
     dd_add,
     dd_sub,
     dd_to_float,
@@ -330,14 +329,16 @@ def check_decomposition(p: VerifyParams) -> str:
         )
     n = 10**3
     rep = orders.decomposition_report(n)
-    direct = KahanSum()
-    for q in primes.iter_primes(2, 2 * n):
-        if q % 4 != 1 or q * q * q < n * n:
-            continue
-        prof = orders.order_profile(q, n)
-        direct.add((prof.beta - prof.alpha) * math.log(q))
+    direct = math.fsum(
+        (prof.beta - prof.alpha) * math.log(prof.p)
+        for prof in (
+            orders.order_profile(q, n)
+            for q in primes.iter_primes(2, 2 * n)
+            if q % 4 == 1 and q * q * q >= n * n
+        )
+    )
     combo = rep.medium_high_sum + rep.beta_star_sum - rep.alpha_star_sum
-    _require(abs(direct.value - combo) < 1e-9, "medium identity float recombination")
+    _require(abs(direct - combo) < 1e-9, "medium identity float recombination")
     return "three-sum identity exact, pieces recombine"
 
 
@@ -529,12 +530,10 @@ def check_constant_b(p: VerifyParams) -> str:
     _require(gap <= bound + 1e-28, "log-derivative identity")
     # direct-summation cross-check of the trivial power sum at s=2
     x = 10**5 if p.oracle_cap <= 200 else 10**6
-    direct = KahanSum()
-    for q in primes.iter_primes(0, x):
-        direct.add(math.log(q) / (q * q))
+    direct = math.fsum(math.log(q) / (q * q) for q in primes.iter_primes(0, x))
     tail_env = (math.log(x) + 1.0) / x
     ps2 = asymptotics.prime_log_power_sum(2, asymptotics.CHAR_TRIVIAL)
-    _require(abs(ps2.value - direct.value) <= tail_env, "P(2) vs direct summation")
+    _require(abs(ps2.value - direct) <= tail_env, "P(2) vs direct summation")
     return f"B = {ev.value:.10f}, all truncation bounds honored"
 
 

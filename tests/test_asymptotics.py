@@ -7,7 +7,7 @@ import mpmath
 import pytest
 import sympy
 
-from quadlcm import asymptotics
+from quadlcm import asymptotics, discrepancy, orders
 from quadlcm.asymptotics import (
     CHAR_PRINCIPAL,
     CHAR_QUADRATIC,
@@ -265,17 +265,25 @@ def test_residual_scan_worker_determinism():
 
 
 def test_probe_layer_names_stay_bound():
-    # perfbench/probe.py times a residuals run by wrapping these module
-    # globals, so each must stay bound even where residual_scan no longer
-    # calls it
-    for name in (
-        "_prime_harmonic_sums",
-        "log_lcm_exact",
-        "compute_B",
-        "neg_log_deriv_zeta",
-        "neg_log_deriv_l4",
+    # perfbench/probe.py times its runs by wrapping or swapping these
+    # module globals, so each must stay bound even where the package no
+    # longer calls it through that name
+    for module, names in (
+        (
+            asymptotics,
+            (
+                "_prime_harmonic_sums",
+                "log_lcm_exact",
+                "compute_B",
+                "neg_log_deriv_zeta",
+                "neg_log_deriv_l4",
+            ),
+        ),
+        (orders, ("log_P", "_correction_partials", "iter_primes", "_lifted_root")),
+        (discrepancy, ("collect_fractions", "discrepancy_of_sample")),
     ):
-        assert callable(getattr(asymptotics, name))
+        for name in names:
+            assert callable(getattr(module, name)), f"{module.__name__}.{name}"
 
 
 def test_theta_only_scales_normalization():

@@ -1,12 +1,17 @@
-"""Compensated and double-double arithmetic against exact rational oracles."""
+"""Double-double arithmetic against exact rational oracles."""
 
 import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadlcm import orders
+from quadlcm.asymptotics import character_log_sum, mertens_log_sum
+from quadlcm.discrepancy import centered_fraction_sum
+from quadlcm.primes import chebyshev_psi
 from quadlcm.summation import (
     DD_ONE,
     DD_ZERO,
@@ -15,7 +20,6 @@ from quadlcm.summation import (
     LN2_DD,
     LOG_PI_OVER_SINH_PI_DD,
     PI_DD,
-    KahanSum,
     dd_add,
     dd_atan_small,
     dd_div,
@@ -82,19 +86,6 @@ prod_operand = st.floats(
 def test_two_prod_is_exact(a, b):
     hi, lo = two_prod(a, b)
     assert Fraction(hi) + Fraction(lo) == Fraction(a) * Fraction(b)
-
-
-def test_kahan_beats_naive_on_classic_cancellation():
-    terms = [1.0] + [1e-16] * 10**4
-    naive = 0.0
-    for t in terms:
-        naive += t
-    acc = KahanSum()
-    for t in terms:
-        acc.add(t)
-    exact = float(Fraction(1) + 10**4 * Fraction(1e-16))
-    assert acc.value == exact
-    assert abs(acc.value - (1.0 + 1e-12)) < abs(naive - (1.0 + 1e-12))
 
 
 small_dd = st.builds(
@@ -233,3 +224,56 @@ def test_log_of_bigint_accuracy_property(v):
     # compare against dd_log_dyadic on the same integer
     ref = as_fraction(dd_log_dyadic(v))
     assert abs(Fraction(log_of_bigint(v)) - ref) <= max(ref, 1) * Fraction(1, 10**13)
+
+
+def _mertens_terms(x):
+    return (math.log(p) / (p - 1) for p in sympy.primerange(3, x + 1))
+
+
+def _character_terms(x):
+    for p in sympy.primerange(3, x + 1):
+        t = math.log(p) / (p - 1)
+        yield t if p % 4 == 1 else -t
+
+
+def _psi_terms(n):
+    for p in sympy.primerange(2, n + 1):
+        k = 1
+        while p ** (k + 1) <= n:
+            k += 1
+        yield k * math.log(p)
+
+
+def _centered_terms(n):
+    yield 0.5 - ((n - 1) % 2) * 0.5
+    for p in sympy.primerange(5, 2 * n + 1):
+        if p % 4 == 1:
+            nu = next(x for x in range(1, p) if (x * x + 1) % p == 0)
+            yield (p - (n - nu) % p - (n + nu) % p) / p
+
+
+@pytest.mark.parametrize(
+    "fn, terms, arg",
+    [
+        pytest.param(fn, terms, arg, id=f"{fn.__name__}-{arg}")
+        for fn, terms, args in (
+            (mertens_log_sum, _mertens_terms, (10, 1000, 30011)),
+            (character_log_sum, _character_terms, (10, 1000, 30011)),
+            (chebyshev_psi, _psi_terms, (1, 2, 10, 1024, 30000)),
+            (centered_fraction_sum, _centered_terms, (1, 2, 10, 500)),
+        )
+        for arg in args
+    ],
+)
+def test_prime_sums_are_correctly_rounded(fn, terms, arg):
+    # each sum is the exact sum of its once-rounded terms, rounded once
+    assert fn(arg) == float(sum(map(Fraction, terms(arg)), Fraction(0)))
+
+
+def test_lcm_correction_ignores_the_order_of_its_partials():
+    n = 1_100_000  # 2n spans two sieve blocks
+    ev = orders.log_lcm_exact(n)
+    partials = orders._correction_partials(n, 1)
+    assert len(partials) == 2
+    assert math.fsum([ev.two_term, *reversed(partials)]) == ev.correction
+    assert ev.correction == float(sum(map(Fraction, [ev.two_term, *partials])))
