@@ -14,17 +14,13 @@ The central computational fact: alpha = beta for every prime p > 2n, so
 
 is exact, and the right side is one fold over the (p, ν) stream of
 `roots.prime_roots` up to 2n (the p ≡ 1 mod 4; p = 2 is a closed form and
-p ≡ 3 mod 4 divides no i²+1) instead of factoring n quadratic values: the
-roots mod p², p³, … are Hensel lifts, each from the root of the level
-below.  For p ≤ 2n the smaller root ν ≤ p/2 ≤ n lies in range, so level 1
-is met and beta ≥ 1, and while no higher level is met
-
-    alpha − beta = alpha_star − 1 = 1 + ⌊(n−ν)/p⌋ + ⌊(n−p+ν)/p⌋.
-
-Above n that is [p − ν ≤ n], since p² ≥ (n+1)² > n²+1.  At p ≤ n levels
-fill contiguously, so a higher level is met exactly when the smaller root
-mod p² is ≤ n: one Hensel step screens each prime, and only the few
-hundred that pass (581 at n = 10⁷) are counted level by level.
+p ≡ 3 mod 4 divides no i²+1) instead of factoring n quadratic values.
+Every order comes from one rule, `_order_counts`: count level 1 from the
+smaller root ν mod p, then lift ν one Hensel step per level and stop at
+the first level whose smaller root exceeds n.  For p ≤ 2n, ν < p/2 ≤ n,
+so level 1 is met and beta ≥ 1.  A p > n never lifts (p² > n²+1), and at
+p ≤ n the first lift screens the prime: only the few hundred that pass
+(581 at n = 10⁷) meet a second level.
 log P_n itself is a closed form,
 2 Re log Γ(n+1+i) − log(π/sinh π), evaluated by Stirling's series in
 double-word arithmetic, so it costs the same at every n.
@@ -153,33 +149,29 @@ def count_solutions_upto(p: int, a: int, n: int) -> int:
 
 
 def _order_counts(p: int, n: int, nu: int) -> tuple[int, int, int]:
-    """(alpha, beta, alpha_star) for p ≡ 1 mod 4 by per-level root counts,
-    from a root 0 < ν < p lifted one Hensel digit per level by `_lift`.
+    """(alpha, beta, alpha_star) for p ≡ 1 mod 4 from its smaller root
+    0 < ν < p/2: the one statement of the per-prime order rule.
 
-    Divisibility levels fill contiguously: if no i ≤ n has p^a | i²+1
-    then no higher power divides any i²+1 with i ≤ n either, so the scan
-    stops at the first empty level.  Either root of a level counts the same.
+    Level a counts the i ≤ n with p^a | i²+1: with ν the smaller root
+    mod p^a, 2 + ⌊(n−ν)/p^a⌋ + ⌊(n−p^a+ν)/p^a⌋, met exactly when ν ≤ n.
+    Levels fill contiguously (an i ≤ n with p^(a+1) | i²+1 is a level-a
+    root too), so the count stops at the first level whose smaller root,
+    one `_lift` above the last, exceeds n.
     """
-    limit = n * n + 1
-    alpha = 0
-    beta = 0
-    alpha_star = 0
-    prev = 1
+    if nu > n:
+        return 0, 0, 0
+    alpha = alpha_star = 2 + (n - nu) // p + (n - p + nu) // p
+    beta = 1
     pa = p
-    a = 1
-    while pa <= limit:
-        if a > 1:
-            nu = _lift(p, nu, prev)
-        c = 2 + (n - nu) // pa + (n - (pa - nu)) // pa
-        if c == 0:
+    # the guard only saves lifts: past it the next smaller root r has
+    # r²+1 ≥ p^(a+1) > n²+1, so r > n anyway; a p > n never lifts
+    while pa * p <= n * n + 1:
+        nu = _lift(p, nu, pa)
+        if nu > n:
             break
-        alpha += c
-        beta = a
-        if a == 1:
-            alpha_star = c
-        a += 1
-        prev = pa
         pa *= p
+        alpha += 2 + (n - nu) // pa + (n - pa + nu) // pa
+        beta += 1
     return alpha, beta, alpha_star
 
 
@@ -292,20 +284,14 @@ def _blocks(n: int) -> list[tuple[int, int, int]]:
 
 
 def _correction_block(args: tuple[int, int, int]) -> float:
-    """fsum of the nonzero (alpha − beta) log p over primes p in (lo, hi].
-
-    Every prime of the stream takes the level-1 formula of the module
-    docstring; only a p ≤ n whose smaller root mod p² is ≤ n, one `_lift`
-    away, is counted level by level.  p = 2 is the caller's.
-    """
+    """fsum of the nonzero (alpha − beta) log p over primes p in (lo, hi],
+    each from `_order_counts`.  p = 2 is the caller's."""
     lo, hi, n = args
     log = math.log
     terms: list[float] = []
     for p, nu in prime_roots(lo, hi):
-        d = 1 + (n - nu) // p + (n - p + nu) // p
-        if p <= n and _lift(p, nu, p) <= n:
-            alpha, beta, _ = _order_counts(p, n, nu)
-            d = alpha - beta
+        alpha, beta, _ = _order_counts(p, n, nu)
+        d = alpha - beta
         if d:
             terms.append(d * log(p))
     return math.fsum(terms)
@@ -401,9 +387,9 @@ def log_lcm_bruteforce(n: int, cap: int = ORACLE_CAP_DEFAULT) -> float:
 def square_divisor_primes(n: int) -> list[int]:
     """Medium-window primes whose square divides some i²+1 with i ≤ n.
 
-    These are exactly the p ≡ 1 mod 4 with n^(2/3) ≤ p ≤ 2n whose
-    smallest level-2 root is ≤ n; ascending.  Only p ≤ n can qualify:
-    p² must not exceed n²+1, and (n+1)² already does.
+    These are exactly the p ≡ 1 mod 4 with n^(2/3) ≤ p ≤ 2n and beta ≥ 2,
+    ascending.  Only p ≤ n can qualify (p² ≤ n²+1 < (n+1)²), so the
+    stream stops at n.
     """
     if n < 1:
         raise InvalidRangeError("square_divisor_primes needs n >= 1")
@@ -411,7 +397,7 @@ def square_divisor_primes(n: int) -> list[int]:
     return [
         p
         for p, nu in prime_roots(1, n)
-        if p * p * p >= nn and _lift(p, nu, p) <= n
+        if p * p * p >= nn and _order_counts(p, n, nu)[1] >= 2
     ]
 
 

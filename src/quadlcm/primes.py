@@ -9,8 +9,9 @@ Each segment is one odd-number mask, read three ways without a Python-level
 loop over its slots: `iter_primes` compresses the odd numbers by it,
 `iter_primes_one_mod_four` compresses every other odd number by a strided
 memoryview of it (the slots ≡ 1 mod 4, half of them, no copy), and
-`count_primes` counts its set bytes.  A segment's mask is freed before the
-next segment is sieved, so one is alive at a time.
+`count_primes`, `pi1_range` and `prime_counts` count the set bytes of it
+and of that stride.  A segment's mask is freed before the next segment is
+sieved, so one is alive at a time.
 """
 
 from __future__ import annotations
@@ -100,8 +101,11 @@ def _primes_one_mod_four(lo: int, hi: int, base: tuple[int, ...]) -> Iterator[in
     return compress(range(first + 2 * k, hi + 1, 4), memoryview(alive)[k::2])
 
 
-def _window_count(lo: int, hi: int, base: tuple[int, ...]) -> int:
-    return _sieve_window(lo, hi, base)[1].count(1)
+def _window_counts(lo: int, hi: int, base: tuple[int, ...]) -> tuple[int, int]:
+    """(odd primes, primes ≡ 1 mod 4) in (lo, hi]: the set slots of the
+    mask and of its 1 mod 4 stride."""
+    first, alive = _sieve_window(lo, hi, base)
+    return alive.count(1), alive[(first >> 1) & 1 :: 2].count(1)
 
 
 def _windows(window: Callable, lo: int, hi: int, segment: int) -> Iterator:
@@ -133,10 +137,19 @@ def iter_primes_one_mod_four(
     return chain.from_iterable(_windows(_primes_one_mod_four, lo, hi, segment))
 
 
+def _counts(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> tuple[int, int]:
+    """(pi, pi1) over (lo, hi] from one pass over the segments' masks."""
+    pi = 1 if lo < 2 <= hi else 0
+    pi1 = 0
+    for odd, one_mod_four in _windows(_window_counts, lo, hi, segment):
+        pi += odd
+        pi1 += one_mod_four
+    return pi, pi1
+
+
 def count_primes(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> int:
     """pi over (lo, hi]: the set slots of each segment's mask, plus 2."""
-    odd = sum(_windows(_window_count, lo, hi, segment))
-    return odd + (1 if lo < 2 <= hi else 0)
+    return _counts(lo, hi, segment)[0]
 
 
 def sieve_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> PrimeBlock:
@@ -184,20 +197,13 @@ def prime_counts(n: int) -> PrimeCounts:
     """Exact pi(n) and pi1(n) = |{p <= n : p = 1 mod 4}|."""
     if n < 0:
         raise InvalidRangeError("prime counting needs n >= 0")
-    pi = 0
-    pi1 = 0
-    for p in iter_primes(0, n):
-        pi += 1
-        if p % 4 == 1:
-            pi1 += 1
+    pi, pi1 = _counts(0, n)
     return PrimeCounts(n=n, pi=pi, pi1=pi1)
 
 
 def pi1_range(a: int, b: int) -> int:
     """Count primes p = 1 mod 4 with a < p <= b."""
-    if b < a:
-        raise InvalidRangeError(f"empty window: ({a}, {b}]")
-    return sum(1 for _ in iter_primes_one_mod_four(a, b))
+    return _counts(a, b)[1]
 
 
 def chebyshev_psi(n: int) -> float:

@@ -110,18 +110,15 @@ def _lift(p: int, nu: int, pk: int) -> int:
     return x if x + x < q else q - x
 
 
-def lift_root(p: int, nu: int, a: int) -> int:
-    """Smaller root mod p^a above the root ν mod p: a − 1 `_lift` steps."""
+def _lifted_root(p: int, a: int) -> int:
+    """Smaller root mod p^a for a prime p ≡ 1 mod 4: a − 1 `_lift` steps
+    above its smaller root mod p."""
+    nu = _sqrt_minus_one_value(p)
     pk = p
     for _ in range(a - 1):
         nu = _lift(p, nu, pk)
         pk *= p
-    return min(nu, pk - nu)
-
-
-def _lifted_root(p: int, a: int) -> int:
-    """Smaller root mod p^a for a prime p ≡ 1 mod 4, lifted from its root mod p."""
-    return lift_root(p, _sqrt_minus_one_value(p), a)
+    return nu
 
 
 def prime_roots(lo: int, hi: int) -> Iterator[tuple[int, int]]:

@@ -13,6 +13,7 @@ max_{j≥k} |r(n_j)|/n_j fall strictly two decades apart on 10^3..10^7.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
@@ -126,16 +127,17 @@ def check_sieve_windows(p: VerifyParams) -> str:
              "pi(10) and pi1(10)")
     _require(primes.prime_counts(100).pi1 == 11, "pi1(100)")
     _require(primes.prime_counts(4).pi1 == 0, "pi1(4)")
-    # the 1 mod 4 view and the mask count against the all-primes walk,
-    # which prime_counts also takes
+    # the 1 mod 4 view and the mask counts against the all-primes walk
     for top, segment in ((10**4, 64), (p.grid_max, primes.DEFAULT_SEGMENT)):
         view = primes.iter_primes_one_mod_four(0, top, segment)
         walk = (q for q in primes.iter_primes(0, top, segment) if q % 4 == 1)
         _require(all(a == b for a, b in zip_longest(view, walk)),
                  f"1 mod 4 view differs from the filtered primes up to {top}")
+    residues = Counter(q % 4 for q in primes.iter_primes(0, p.grid_max))
     pc = primes.prime_counts(p.grid_max)
-    _require(primes.count_primes(0, p.grid_max) == pc.pi,
+    _require(primes.count_primes(0, p.grid_max) == pc.pi == residues.total(),
              f"mask count differs from pi({p.grid_max})")
+    _require(pc.pi1 == residues[1], f"mask count differs from pi1({p.grid_max})")
     return f"seams, counts and the 1 mod 4 view consistent up to {p.grid_max}"
 
 

@@ -21,6 +21,7 @@ from quadlcm.orders import (
     _correction_partials,
     _ledger_partials,
     _log_P_dd,
+    _order_counts,
     alpha_exact,
     alpha_star,
     beta_exact,
@@ -195,8 +196,8 @@ def test_log_lcm_exact_matches_bruteforce():
 
 
 def sieve_orders(n):
-    """{q: (alpha, beta)} for every prime q dividing some i²+1 with i ≤ n,
-    from a sieve of the values a[i] = i²+1 alone.
+    """{q: (alpha, beta, alpha_star)} for every prime q dividing some i²+1
+    with i ≤ n, from a sieve of the values a[i] = i²+1 alone.
 
     When the scan reaches i, every prime with a root below i has been
     divided out, so a[i] is 1 or the one prime q whose smallest root is i
@@ -209,7 +210,7 @@ def sieve_orders(n):
         q = a[i]
         if q == 1:
             continue
-        alpha = beta = 0
+        alpha = beta = alpha_star = 0
         for start in {i, q - i}:  # one progression for q = 2
             for j in range(start, n + 1, q):
                 e = 0
@@ -218,20 +219,32 @@ def sieve_orders(n):
                     e += 1
                 alpha += e
                 beta = max(beta, e)
-        found[q] = (alpha, beta)
+                alpha_star += 1
+        found[q] = (alpha, beta, alpha_star)
     return found
 
 
 def test_orders_match_polynomial_sieve_at_scale():
     n = 10**5
     found = sieve_orders(n)
-    corr = math.fsum((al - be) * math.log(q) for q, (al, be) in found.items())
+    corr = math.fsum((al - be) * math.log(q) for q, (al, be, _) in found.items())
     assert corr == pytest.approx(log_lcm_exact(n).correction, rel=1e-13)
     for q in sympy.primerange(2, 2 * n + 1):
         prof = order_profile(q, n)
-        assert found.pop(q, (0, 0)) == (prof.alpha, prof.beta), q
+        assert found.pop(q, (0, 0, 0)) == (prof.alpha, prof.beta, prof.alpha_star), q
     # past 2n every prime divides exactly one i²+1 of the range, once
-    assert set(found.values()) == {(1, 1)}
+    assert set(found.values()) == {(1, 1, 1)}
+
+
+def test_order_rule_matches_polynomial_sieve():
+    # _order_counts against the sieve, which never lifts a root.  Primes up
+    # to 4n also meet the level-1 stop: past 2n the smaller root can exceed
+    # n, or equal it when p | n²+1.  At 10⁴, 5 and 13 meet three levels or more.
+    for n in (*range(1, 301), 10**4):
+        found = sieve_orders(n)
+        for p, nu in prime_roots(0, 4 * n):
+            assert _order_counts(p, n, nu) == found.get(p, (0, 0, 0)), (p, n)
+    assert found[5][1] >= 3 and found[13][1] >= 3
 
 
 def test_bruteforce_cap():

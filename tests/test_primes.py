@@ -96,6 +96,10 @@ def test_pi1_range_windows():
     assert pi1_range(10, 30) == 3  # 13, 17, 29
     assert pi1_range(13, 30) == 2  # half-open at the left: 13 excluded, 17, 29
     assert pi1_range(5, 5) == 0
+    # each start parity and residue of the first odd slot, and a segment edge
+    for lo in range(7):
+        for hi in (lo, lo + 1, lo + 2, 100, DEFAULT_SEGMENT + 1000):
+            assert pi1_range(lo, hi) == len(_filtered(lo, hi)), (lo, hi)
 
 
 def test_chebyshev_psi_small_values():
@@ -147,9 +151,15 @@ def test_one_mod_four_view_equals_filtered_primes():
 
 
 def test_mask_count_equals_prime_counts():
+    # count_primes and prime_counts both count set bytes of the mask; the
+    # reference is the walk that compresses by it, and its 1 mod 4 filter
     for n in (0, 1, 2, 3, 10, 100, 1229, 10_000, DEFAULT_SEGMENT + 7):
-        assert count_primes(0, n) == prime_counts(n).pi, n
-        assert count_primes(0, n, segment=64) == prime_counts(n).pi, n
+        walk = list(iter_primes(0, n))
+        want = (len(walk), sum(1 for p in walk if p % 4 == 1))
+        pc = prime_counts(n)
+        assert (pc.pi, pc.pi1) == want, n
+        assert count_primes(0, n) == want[0], n
+        assert count_primes(0, n, segment=64) == want[0], n
     assert count_primes(1, 2) == 1 and count_primes(2, 2) == 0
     assert count_primes(10, 30) == 6
     with pytest.raises(InvalidRangeError):

@@ -94,6 +94,34 @@ def test_stream_checks_still_check_under_python_O():
     assert stream.startswith("prime_roots gives"), stream
 
 
+def test_order_rule_check_still_checks_under_python_O():
+    # an order rule that never counts past level 1 (beta capped at 1,
+    # alpha = alpha_star) must fail the lcm oracle with asserts stripped
+    script = (
+        "from quadlcm import orders, verify\n"
+        "good = orders._order_counts\n"
+        "def level_one(p, n, nu):\n"
+        "    alpha, beta, alpha_star = good(p, n, nu)\n"
+        "    return alpha_star, min(beta, 1), alpha_star\n"
+        "orders._order_counts = level_one\n"
+        "try:\n"
+        "    verify.check_lcm_oracle(verify.QUICK)\n"
+        "    print('passed')\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "print(__debug__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=300, env=env, check=True,
+    )
+    detail, debug = proc.stdout.splitlines()
+    assert debug == "False"
+    assert detail.startswith("log L mismatch at n="), detail
+
+
 def test_unknown_level_rejected():
     with pytest.raises(ValueError):
         run_verify("exhaustive")
