@@ -14,14 +14,15 @@ geometric series Σ_{k≥1} p^(−k), which turns S into Σ_{k≥1} P_quad(k)
 with P_quad(k) = Σ_p chi(p) log p · p^(−k).  Each P is recovered top-down
 from logarithmic derivatives of zeta and L(·, chi) via the von Mangoldt
 identity, with all arguments above 64 dropped and replaced by a rigorous
-majorant-tail bound.  Everything high-precision runs in double-word
-arithmetic; every sum at prime scale is one correctly rounded fsum.
+majorant-tail bound.  Everything high-precision runs in the 40-digit
+decimal CONTEXT; every sum at prime scale is one correctly rounded fsum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from functools import lru_cache
 from itertools import tee
 from operator import mul, truediv
@@ -31,19 +32,7 @@ from .errors import DivergentSeriesError, InvalidRangeError
 from .dirichlet import neg_log_deriv_l4, neg_log_deriv_zeta
 from .orders import log_lcm_exact
 from .primes import iter_primes, iter_primes_one_mod_four
-from .summation import (
-    DD,
-    DD_ONE,
-    GAMMA_DD,
-    LN2_DD,
-    dd_add,
-    dd_mul,
-    dd_pow_int,
-    dd_div,
-    dd_from_int,
-    dd_sub,
-    dd_to_float,
-)
+from .summation import CONTEXT, GAMMA, LN2
 
 CHAR_TRIVIAL = "trivial"
 CHAR_PRINCIPAL = "principal-mod-4"
@@ -58,7 +47,8 @@ _ARGUMENT_CUTOFF = 64
 
 @dataclass(frozen=True)
 class PowerSumValue:
-    """P_char(s) = Σ_p char(p) log p · p^(−s) in double-word precision."""
+    """P_char(s) = Σ_p char(p) log p · p^(−s): its 40-digit value split
+    as hi = float(x), lo = float(x − hi)."""
 
     s: int
     char: str
@@ -77,8 +67,9 @@ class ConstantEvaluation:
 
     value is the plain-double recombination gamma − 1 − (log 2)/2 − S
     from the stored fields (so the recombination identity holds exactly);
-    value_hi/value_lo carry the double-word result where the mode has
-    one.  tail_bound covers every truncation made along the way.
+    value_hi/value_lo split the 40-digit result x as hi = float(x),
+    lo = float(x − hi).  tail_bound covers every truncation made along
+    the way.
     """
 
     mode: str
@@ -173,8 +164,8 @@ def _dropped_args_bound(first_arg: int, step: int, odd_only: bool) -> float:
 
 
 @lru_cache(maxsize=None)
-def _power_sum_dd(char: str, s: int) -> tuple[float, float, float]:
-    """(hi, lo, tail_bound) for P_char(s) by the top-down recursion."""
+def _power_sum(char: str, s: int) -> tuple[Decimal, float]:
+    """(value, tail_bound) for P_char(s) by the top-down recursion."""
     if char == CHAR_TRIVIAL:
         if s < 2:
             raise DivergentSeriesError(
@@ -183,21 +174,19 @@ def _power_sum_dd(char: str, s: int) -> tuple[float, float, float]:
         val, bound = neg_log_deriv_zeta(s)
         m = 2
         while m * s <= _ARGUMENT_CUTOFF:
-            sub = _power_sum_dd(CHAR_TRIVIAL, m * s)
-            val = dd_sub(val, (sub[0], sub[1]))
-            bound += sub[2]
+            sub, sub_bound = _power_sum(CHAR_TRIVIAL, m * s)
+            val = CONTEXT.subtract(val, sub)
+            bound += sub_bound
             m += 1
         bound += _dropped_args_bound(m * s, s, odd_only=False)
-        return val[0], val[1], bound
+        return val, bound
     if char == CHAR_PRINCIPAL:
         if s < 2:
             raise DivergentSeriesError(
                 "Σ log p/p^s over odd p diverges at s = 1"
             )
-        hi, lo, bound = _power_sum_dd(CHAR_TRIVIAL, s)
-        two_term = dd_mul(LN2_DD, dd_pow_int(dd_div(DD_ONE, dd_from_int(2)), s))
-        val = dd_sub((hi, lo), two_term)
-        return val[0], val[1], bound
+        val, bound = _power_sum(CHAR_TRIVIAL, s)
+        return CONTEXT.subtract(val, CONTEXT.divide(LN2, 2**s)), bound
     if char == CHAR_QUADRATIC:
         if s < 1:
             raise InvalidRangeError("quadratic-character power sum needs s >= 1")
@@ -207,21 +196,29 @@ def _power_sum_dd(char: str, s: int) -> tuple[float, float, float]:
             # chi^m is chi again for odd m and the principal character for
             # even m, so the von Mangoldt expansion alternates the two
             sub_char = CHAR_QUADRATIC if m % 2 else CHAR_PRINCIPAL
-            sub = _power_sum_dd(sub_char, m * s)
-            val = dd_sub(val, (sub[0], sub[1]))
-            bound += sub[2]
+            sub, sub_bound = _power_sum(sub_char, m * s)
+            val = CONTEXT.subtract(val, sub)
+            bound += sub_bound
             m += 1
         bound += _dropped_args_bound(m * s, s, odd_only=True)
-        return val[0], val[1], bound
+        return val, bound
     raise InvalidRangeError(
         f"unknown character {char!r}; expected one of "
         f"{CHAR_TRIVIAL!r}, {CHAR_PRINCIPAL!r}, {CHAR_QUADRATIC!r}"
     )
 
 
+def _split(x: Decimal) -> tuple[float, float]:
+    """(hi, lo) = (float(x), float(x − hi)): the leading double and the
+    rest, each correctly rounded."""
+    hi = float(x)
+    return hi, float(CONTEXT.subtract(x, Decimal.from_float(hi)))
+
+
 def prime_log_power_sum(s: int, char: str = CHAR_TRIVIAL) -> PowerSumValue:
     """Σ_p char(p) log p · p^(−s); s ≥ 2 unless the character is quadratic."""
-    hi, lo, bound = _power_sum_dd(char, s)
+    val, bound = _power_sum(char, s)
+    hi, lo = _split(val)
     return PowerSumValue(s=s, char=char, hi=hi, lo=lo, tail_bound=bound)
 
 
@@ -230,36 +227,35 @@ def _recombine(gamma_used: float, s_value: float) -> float:
     return gamma_used - 1.0 - HALF_LOG2 - s_value
 
 
-def _b_from_s_dd(s_dd: DD) -> DD:
-    half_ln2 = (0.5 * LN2_DD[0], 0.5 * LN2_DD[1])
-    out = dd_sub(GAMMA_DD, DD_ONE)
-    out = dd_sub(out, half_ln2)
-    return dd_sub(out, s_dd)
+def _evaluation(
+    mode: str, s: Decimal, tail_bound: float, **settings
+) -> ConstantEvaluation:
+    """B = gamma − 1 − (log 2)/2 − S from the 40-digit S, and its doubles."""
+    with localcontext(CONTEXT):
+        value_hi, value_lo = _split(GAMMA - 1 - LN2 / 2 - s)
+    gamma_used = float(GAMMA)
+    s_value = float(s)
+    return ConstantEvaluation(
+        mode=mode,
+        value=_recombine(gamma_used, s_value),
+        value_hi=value_hi,
+        value_lo=value_lo,
+        s_value=s_value,
+        tail_bound=tail_bound,
+        gamma_used=gamma_used,
+        **settings,
+    )
 
 
 @lru_cache(maxsize=None)
 def _accelerated_b(depth: int) -> ConstantEvaluation:
-    s_dd: DD = (0.0, 0.0)
-    bound = 0.0
-    for k in range(1, depth + 1):
-        hi, lo, b = _power_sum_dd(CHAR_QUADRATIC, k)
-        s_dd = dd_add(s_dd, (hi, lo))
-        bound += b
+    terms = [_power_sum(CHAR_QUADRATIC, k) for k in range(1, depth + 1)]
+    with localcontext(CONTEXT):
+        s = sum(val for val, _ in terms)
     # |P_quad(k)| ≤ odd majorant(k); geometric from depth+1 on
+    bound = sum(b for _, b in terms)
     bound += _dropped_args_bound(depth + 1, 1, odd_only=True)
-    b_dd = _b_from_s_dd(s_dd)
-    gamma_used = GAMMA_DD[0] + GAMMA_DD[1]
-    s_value = dd_to_float(s_dd)
-    return ConstantEvaluation(
-        mode="accelerated",
-        value=_recombine(gamma_used, s_value),
-        value_hi=b_dd[0],
-        value_lo=b_dd[1],
-        s_value=s_value,
-        tail_bound=bound,
-        gamma_used=gamma_used,
-        depth=depth,
-    )
+    return _evaluation("accelerated", s, bound, depth=depth)
 
 
 def compute_B(
@@ -270,8 +266,8 @@ def compute_B(
     naive mode truncates the defining character sum at p_max (tail_bound
     3/log p_max is a loose envelope; the observed error is about
     p_max^(−1/2) and biased in sign); the accelerated mode sums
-    P_quad(1..depth) with rigorous majorant tails and is good to roughly
-    double-word resolution by depth 48.
+    P_quad(1..depth) with rigorous majorant tails, within 1.3e-19 (its
+    tail_bound) by depth 48.
     """
     if mode == "accelerated":
         if depth < 16:
@@ -280,19 +276,8 @@ def compute_B(
     if mode == "naive":
         if p_max < 10**3:
             raise InvalidRangeError("naive mode needs p_max >= 10^3")
-        s_value = character_log_sum(p_max)
-        gamma_used = GAMMA_DD[0] + GAMMA_DD[1]
-        b_dd = _b_from_s_dd((s_value, 0.0))
-        return ConstantEvaluation(
-            mode="naive",
-            value=_recombine(gamma_used, s_value),
-            value_hi=b_dd[0],
-            value_lo=b_dd[1],
-            s_value=s_value,
-            tail_bound=3.0 / math.log(p_max),
-            gamma_used=gamma_used,
-            p_max=p_max,
-        )
+        s = Decimal.from_float(character_log_sum(p_max))
+        return _evaluation("naive", s, 3.0 / math.log(p_max), p_max=p_max)
     raise InvalidRangeError(f"unknown mode {mode!r}; use 'naive' or 'accelerated'")
 
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 from . import __version__, asymptotics, discrepancy, orders, primes, roots, verify
 from .errors import OracleCapError, QuadlcmError, RangeOverflowError
 from .reports import RunManifest, format_value, render_csv, render_json, write_report
-from .summation import GAMMA_DD
+from .summation import GAMMA
 
 
 class UsageError(QuadlcmError, ValueError):
@@ -227,7 +227,7 @@ def cmd_mertens(args):
     rows = []
     for x in parse_grid(args.grid):
         value = asymptotics.mertens_log_sum(x)
-        reference = math.log(x / 2.0) - GAMMA_DD[0]
+        reference = math.log(x / 2.0) - float(GAMMA)
         rows.append((x, value, reference, value - reference))
     return None, Table(("x", "sum", "reference", "deviation"), rows)
 

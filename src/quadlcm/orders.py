@@ -23,7 +23,7 @@ p ≤ n the first lift screens the prime: only the few hundred that pass
 (581 at n = 10⁷) meet a second level.
 log P_n itself is a closed form,
 2 Re log Γ(n+1+i) − log(π/sinh π), evaluated by Stirling's series in
-double-word arithmetic, so it costs the same at every n.
+the 40-digit decimal CONTEXT, so it costs the same at every n.
 
 Primes split at the exact integer boundary p³ < n² ("small", below n^(2/3))
 versus p³ ≥ n² ("medium", up to 2n).  The medium correction decomposes
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from multiprocessing import Pool
 from typing import Callable, Sequence
@@ -45,17 +46,10 @@ from .errors import InvalidRangeError, OracleCapError
 from .primes import DEFAULT_SEGMENT, iter_primes, require_prime
 from .roots import _lift, _lifted_root, prime_roots, roots_mod_prime_power
 from .summation import (
-    DD,
-    HALF_LOG_2PI_DD,
-    LOG_PI_OVER_SINH_PI_DD,
-    dd_add,
-    dd_atan_small,
-    dd_from_fraction,
-    dd_from_int,
-    dd_log_dyadic,
-    dd_mul,
-    dd_sub,
-    dd_to_float,
+    CONTEXT,
+    HALF_LOG_2PI,
+    LOG_PI_OVER_SINH_PI,
+    from_fraction,
     log_of_bigint,
 )
 
@@ -239,15 +233,31 @@ def _stirling_tail(y: int) -> Fraction:
     return total
 
 
+def _atan_inverse(y: int) -> Decimal:
+    """atan(1/y) for an integer y ≥ 2, from its alternating series
+    Σ_k (−1)^k / ((2k+1) y^(2k+1)).  The terms are summed exactly while
+    they are at least 10^−(prec+3)/y, under a thousandth of a unit in the
+    last digit of the result (≈ 1/y); the omitted tail is below its first
+    term, so one rounding gives the correctly rounded value save at a
+    near-tie."""
+    cut = 10 ** (CONTEXT.prec + 3) * y
+    total = Fraction(0)
+    k = 0
+    while (2 * k + 1) * y ** (2 * k + 1) <= cut:
+        total += Fraction((-1) ** k, (2 * k + 1) * y ** (2 * k + 1))
+        k += 1
+    return from_fraction(total)
+
+
 def log_P(n: int) -> float:
     """Σ_{i ≤ n} log(i²+1), correctly rounded, in closed form."""
     if not 1 <= n < LOG_P_MAX_N:
         raise InvalidRangeError(f"log_P needs 1 <= n < 2**511, got n = {n}")
-    return dd_to_float(_log_P_dd(n))
+    return float(_log_P_decimal(n))
 
 
-def _log_P_dd(n: int) -> DD:
-    """log P_n in double-word precision, within 1e-27 relative.
+def _log_P_decimal(n: int) -> Decimal:
+    """log P_n in the 40-digit CONTEXT, within 1e-27 relative.
 
     Π_{i ≤ n} (i²+1) = |Γ(n+1+i)|² / |Γ(1+i)|² and |Γ(1+i)|² = π/sinh π.
     With y = max(n+1, 24), shifting by Γ(z+1) = zΓ(z) and taking
@@ -258,21 +268,25 @@ def _log_P_dd(n: int) -> DD:
                   − log(π/sinh π) − log Π_{n < j < y} (j²+1).
 
     For Re z > 0 the series' remainder is at most its first omitted term
-    times sec²²(arg z / 2); at |z| > 24 that bounds 2 Re of it by 2.8e-28.
-    The rest is double-word arithmetic (about 2^-104 relative per step on
-    terms at most 250 times the result), so the sum lies within 1e-27
-    relative of log P_n, and its rounding to a double is correct unless
-    log P_n is that close to a midpoint between doubles.
+    times sec²²(arg z / 2); at |z| > 24 that bounds 2 Re of it by 2.8e-28,
+    under 4.1e-28 of log P_n ≥ log 2.  Every other step is one correctly
+    rounded 40-digit operation (5e-40 relative at most) on terms at most
+    250 times the result, so together they add under 1e-36 relative.  The
+    sum lies within 1e-27 relative of log P_n, and its rounding to a
+    double is correct unless log P_n is that close to a midpoint between
+    doubles.
     """
     y = max(n + 1, _STIRLING_MIN_Y)
-    at = dd_atan_small(dd_from_fraction(Fraction(1, y)))
-    acc = dd_mul(dd_sub(dd_from_int(y), (0.5, 0.0)), dd_log_dyadic(y * y + 1))
-    acc = dd_sub(acc, dd_add(at, at))
-    acc = dd_sub(acc, dd_from_int(2 * y))
-    acc = dd_add(acc, dd_from_fraction(2 * _stirling_tail(y)))
-    acc = dd_add(acc, dd_add(HALF_LOG_2PI_DD, HALF_LOG_2PI_DD))
-    acc = dd_sub(acc, LOG_PI_OVER_SINH_PI_DD)
-    return dd_sub(acc, dd_log_dyadic(math.prod(j * j + 1 for j in range(n + 1, y))))
+    with localcontext(CONTEXT) as ctx:
+        return (
+            (y - Decimal("0.5")) * ctx.ln(y * y + 1)
+            - 2 * _atan_inverse(y)
+            - 2 * y
+            + from_fraction(2 * _stirling_tail(y))
+            + 2 * HALF_LOG_2PI
+            - LOG_PI_OVER_SINH_PI
+            - ctx.ln(math.prod(j * j + 1 for j in range(n + 1, y)))
+        )
 
 
 def _blocks(n: int) -> list[tuple[int, int, int]]:

@@ -46,20 +46,12 @@ class PrimeCounts:
 
 @lru_cache(maxsize=32)
 def _small_primes(limit: int) -> tuple[int, ...]:
-    """All primes <= limit by a dense odd-only sieve; used for base primes."""
+    """All primes <= limit: one window (0, limit] sieved by the primes up
+    to its square root; used for base primes."""
     if limit < 2:
         return ()
-    if limit < 3:
-        return (2,)
-    size = (limit - 1) // 2  # index i <-> odd number 2i+1, i >= 1
-    comp = bytearray(size + 1)
-    for i in range(1, (math.isqrt(limit) - 1) // 2 + 1):
-        if not comp[i]:
-            p = 2 * i + 1
-            first = (p * p - 1) // 2
-            count = (size - first) // p + 1
-            comp[first :: p] = b"\x01" * count
-    return (2,) + tuple(2 * i + 1 for i in range(1, size + 1) if not comp[i])
+    first, alive = _sieve_window(0, limit, _small_primes(math.isqrt(limit)))
+    return (2, *compress(range(first, limit + 1, 2), alive))
 
 
 def _sieve_window(lo: int, hi: int, base: tuple[int, ...]) -> tuple[int, bytearray]:

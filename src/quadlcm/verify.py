@@ -21,14 +21,7 @@ from itertools import zip_longest
 from . import asymptotics, discrepancy, orders, primes, roots
 from .dirichlet import neg_log_deriv_zeta
 from .errors import EmptySampleError, NotOneModFourError
-from .summation import (
-    DD_ZERO,
-    GAMMA_DD,
-    dd_add,
-    dd_sub,
-    dd_to_float,
-    log_of_bigint,
-)
+from .summation import GAMMA, log_of_bigint
 
 
 @dataclass(frozen=True)
@@ -493,7 +486,7 @@ def check_prime_harmonics(p: VerifyParams) -> str:
     prev_dev = None
     for n in geometric(10**3, p.grid_max):
         mert, char = asymptotics._prime_harmonic_sums(2 * n)
-        dev = abs(mert - (math.log(n) - GAMMA_DD[0]))
+        dev = abs(mert - (math.log(n) - float(GAMMA)))
         _require(dev * math.log(n) <= 5.0, f"Mertens envelope at n={n}: {dev:.4g}")
         cdev = abs(char - s_limit)
         if prev_dev is not None:
@@ -519,16 +512,16 @@ def check_constant_b(p: VerifyParams) -> str:
     _require(abs(naive.value - ev.value) <= 0.05, "naive(10^6) within 0.05")
     # recursion identity at s=2: sum of trivial P over even arguments
     base, em_tail = neg_log_deriv_zeta(2)
-    total = DD_ZERO
+    total = Fraction(0)
     bound = em_tail
     m = 1
     while 2 * m <= 64:
         ps = asymptotics.prime_log_power_sum(2 * m, asymptotics.CHAR_TRIVIAL)
-        total = dd_add(total, (ps.hi, ps.lo))
+        total += Fraction(ps.hi) + Fraction(ps.lo)
         bound += ps.tail_bound
         m += 1
     bound += asymptotics._dropped_args_bound(2 * m, 2, odd_only=False)
-    gap = abs(dd_to_float(dd_sub(total, base)))
+    gap = abs(float(total - Fraction(base)))
     _require(gap <= bound + 1e-28, "log-derivative identity")
     # direct-summation cross-check of the trivial power sum at s=2
     x = 10**5 if p.oracle_cap <= 200 else 10**6

@@ -117,14 +117,14 @@ COMPUTE_B_PINS = {
     48: (
         -0.0662756342130606,
         -0.06627563421306071,
-        1.4925360785446321e-18,
+        1.4925360785445992e-18,
         -0.7030822911653791,
         1.27445393952673e-19,
     ),
     16: (
         -0.06627564697113009,
         -0.06627564697113013,
-        6.891873921440892e-18,
+        6.891873921440875e-18,
         -0.7030822784073096,
         1.5289443797637176e-08,
     ),

@@ -253,7 +253,7 @@ GOLDEN = [
      "025a52aed531c2d96c8993b0882494f0649d0cbf861a1be57e2701afa527a219", ["grid"]),
     (["constant-b", "--depth", "16"],
      "mode=accelerated B=-0.0662756469711 tail_bound=1.52894437976e-08\n", None,
-     "c45c5342642579988c0aed4920da31b4d7be8638163b2e6cab4ed98a7e855d23",
+     "003384eb5fd117fe88fefba04b65782f015d8ab559c122e37752b23d104b8c11",
      ["depth", "mode", "p_max"]),
     (["residuals", "--grid", "100:1000:10"], "",
      "n,log_L,main,r,r_normalized\n"

@@ -20,7 +20,7 @@ from quadlcm.orders import (
     _correction_block,
     _correction_partials,
     _ledger_partials,
-    _log_P_dd,
+    _log_P_decimal,
     _order_counts,
     alpha_exact,
     alpha_star,
@@ -314,14 +314,13 @@ def test_entry_points_return_or_raise_in_bounded_time(p, n, a):
 
 @pytest.mark.parametrize("n", [1, 2, 22, 23, 24, 3000, 10**7, 2**100, LOG_P_MAX_N - 1])
 def test_log_P_dd_is_within_its_stated_bound(n):
-    # the double-word value before rounding, to the 1e-27 its docstring
+    # the 40-digit value before rounding, to the 1e-27 its docstring
     # derives: rounding alone hides errors far larger than that
     with mpmath.workdps(60):
         c = mpmath.log(mpmath.pi / mpmath.sinh(mpmath.pi))
         want = 2 * mpmath.re(mpmath.loggamma(mpmath.mpc(n + 1, 1))) - c
         want = Fraction(mpmath.nstr(want, 55))
-    hi, lo = _log_P_dd(n)
-    assert abs(Fraction(hi) + Fraction(lo) - want) <= want * Fraction(1, 10**27)
+    assert abs(Fraction(_log_P_decimal(n)) - want) <= want * Fraction(1, 10**27)
 
 
 @given(st.integers(min_value=-10, max_value=10**400))

@@ -59,6 +59,13 @@ def test_small_segment_size_changes_nothing():
     assert tuple(iter_primes(0, 10_000, segment=DEFAULT_SEGMENT)) == want
 
 
+def test_small_primes_match_sympy():
+    # the base-prime table is itself one sieve window; 4472 = isqrt(2·10⁷)
+    # is the base of the sieve to 2n at n = 10⁷
+    for limit in [*range(2001), 4472, 4473, 4474, 10**5]:
+        assert _small_primes(limit) == sympy_primes(0, limit), limit
+
+
 def test_iter_primes_rejects_bad_ranges():
     with pytest.raises(InvalidRangeError):
         list(iter_primes(10, 5))
