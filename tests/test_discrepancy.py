@@ -78,7 +78,8 @@ def brute_discrepancy(sample):
     return best
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 40, 60])
+# every n up to 60: at tiny n ties and degenerate intervals pick the witness
+@pytest.mark.parametrize("n", range(2, 61))
 def test_two_scan_matches_brute_force(n):
     sample = collect_fractions(n)
     rep = discrepancy(n)
@@ -86,6 +87,31 @@ def test_two_scan_matches_brute_force(n):
     assert rep.witness.deviation(sample) == rep.D_exact
     assert rep.D == float(rep.D_exact)
     assert rep.sample_size == len(sample.items)
+
+
+# n: (D_exact, sample size, witness u, v, u_from_left, v_from_left)
+DISCREPANCY_PINS = {
+    100: (Fraction(474, 1825), 23, Fraction(27, 73), Fraction(46, 73), True, False),
+    1000: (
+        Fraction(3383, 47992), 161, Fraction(207, 857), Fraction(650, 857), False, True
+    ),
+    10**4: (
+        Fraction(340872, 9528437), 1219,
+        Fraction(2555, 7753), Fraction(5198, 7753), False, True,
+    ),
+    10**5: (
+        Fraction(9538319, 941253368), 9567,
+        Fraction(32562, 98129), Fraction(65567, 98129), False, True,
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(DISCREPANCY_PINS))
+def test_discrepancy_is_pinned(n):
+    rep = discrepancy(n)
+    w = rep.witness
+    got = (rep.D_exact, rep.sample_size, w.u, w.v, w.u_from_left, w.v_from_left)
+    assert got == DISCREPANCY_PINS[n]
 
 
 def test_discrepancy_of_sample_takes_prepared_input():
