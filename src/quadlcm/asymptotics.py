@@ -48,7 +48,11 @@ _ARGUMENT_CUTOFF = 64
 @dataclass(frozen=True)
 class PowerSumValue:
     """P_char(s) = Σ_p char(p) log p · p^(−s): its 40-digit value split
-    as hi = float(x), lo = float(x − hi)."""
+    as hi = float(x), lo = float(x − hi).  The principal character is
+    P_trivial(s) − ln 2·2^−s, which cancels leading digits at s ≥ 39: x then
+    has fewer than 40 correct digits (about 32 at s = 39), so lo can differ
+    from its 60-digit value.  hi and tail_bound are converged, and B is
+    unaffected (test_b_is_converged_at_the_working_precision)."""
 
     s: int
     char: str
@@ -216,7 +220,8 @@ def _split(x: Decimal) -> tuple[float, float]:
 
 
 def prime_log_power_sum(s: int, char: str = CHAR_TRIVIAL) -> PowerSumValue:
-    """Σ_p char(p) log p · p^(−s); s ≥ 2 unless the character is quadratic."""
+    """Σ_p char(p) log p · p^(−s); s ≥ 2 unless the character is quadratic.
+    The principal character's lo loses digits at s ≥ 39 (see PowerSumValue)."""
     val, bound = _power_sum(char, s)
     hi, lo = _split(val)
     return PowerSumValue(s=s, char=char, hi=hi, lo=lo, tail_bound=bound)

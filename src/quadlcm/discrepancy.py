@@ -5,8 +5,9 @@ p ≤ n: one fraction (1/2) for p = 2, an exact mirror pair for p ≡ 1 mod 4,
 nothing for p ≡ 3 mod 4.  Counting is normalized by pi(n) over all primes,
 so the sample "mass" tops out near 2·pi1(n)/pi(n) ≈ 1.
 
-Everything that decides an ordering or an interval membership runs on
-exact rationals; floats appear only in final report fields.
+The sample sorts by an exact integer key, and the discrepancy is one pass
+over g_j = x_j − j/pi(n) in exact rationals; floats appear only in final
+report fields.
 """
 
 from __future__ import annotations
@@ -69,75 +70,67 @@ class DiscrepancyReport:
 
 
 def collect_fractions(n: int) -> FractionSample:
-    """All root fractions for primes up to n, sorted, with pi(n)."""
+    """All root fractions for primes up to n, sorted, with pi(n).
+
+    The (nu, p) pairs sort by the exact integer key ⌊nu·2^k/p⌋ with
+    k = 2·n.bit_length(); each Fraction is built once, in order.  No two
+    root fractions coincide (nu/p = nu'/q with p ≠ q would need p | nu),
+    and distinct ones with p, q ≤ n differ by at least 1/(pq) ≥ 1/n² > 2^−k,
+    so scaled by 2^k they lie more than 1 apart and their floors differ.
+    """
     if n < 2:
         raise EmptySampleError(f"no primes up to {n}, sample undefined")
-    pts = [Fraction(1, 2)]
+    k = 2 * n.bit_length()
+    pairs = [(1, 2)]
     for p, nu in prime_roots(0, n):
-        pts.append(Fraction(nu, p))
-        pts.append(Fraction(p - nu, p))
-    pts.sort()
-    return FractionSample(n=n, items=tuple(pts), pi_n=count_primes(0, n))
+        pairs.append((nu, p))
+        pairs.append((p - nu, p))
+    pairs.sort(key=lambda f: (f[0] << k) // f[1])
+    items = tuple(Fraction(nu, p) for nu, p in pairs)
+    return FractionSample(n=n, items=items, pi_n=count_primes(0, n))
 
 
 def discrepancy_of_sample(sample: FractionSample) -> DiscrepancyReport:
     """Exact sup over intervals (u, v] of |length − count/pi(n)|.
 
-    On a finite sample the supremum is attained with u and v at sample
-    points (or interval ends), possibly as left limits.  Two linear scans
-    cover both senses of the deviation:
-
-    * point-heavy windows [x_i, x_j]: u → x_i from below, v = x_j, giving
-      (j−i+1)/P − (x_j − x_i); maximize by a prefix max of x_i − i/P;
-    * point-light windows (x_i, x_{j+1}): u = x_i, v → x_{j+1} from below
-      (with sentinels 0 and 1), giving (x_{j+1} − x_i) − (j−i)/P;
-      maximize by a prefix max of i/P − x_i.
-
-    A window starting at the 0 sentinel in the first scan is always beaten
-    by starting at x_1, so the sentinel is only needed in the second.
+    The sup is attained with u and v at sample points or interval ends,
+    possibly as left limits.  With P = pi(n), sentinels x_0 = 0 and
+    x_{N+1} = 1, and g_j = x_j − j/P, a point-heavy window [x_i, x_j]
+    (1 ≤ i ≤ j ≤ N) deviates by (j−i+1)/P − (x_j − x_i) = 1/P + g_i − g_j,
+    a fall of g, and a point-light window (x_i, x_k) (0 ≤ i < k ≤ N+1) by
+    (x_k − x_i) − (k−i−1)/P = 1/P + g_k − g_i, a rise of g.  So
+    D = 1/P + max(largest fall, largest rise), from one pass that keeps the
+    running max of g over 1..j and its min over 0..j.  The earliest maxima
+    win ties, and a rise replaces the fall only when strictly larger.
     """
-    pts = sample.items
-    P = sample.pi_n
-    N = len(pts)
-    xs: list[Fraction] = [Fraction(0)] + list(pts) + [Fraction(1)]
-    best: Fraction | None = None
-    best_witness: Witness | None = None
-
-    run = xs[1] - Fraction(1, P)
-    run_i = 1
+    N, P = len(sample.items), sample.pi_n
+    xs = (Fraction(0), *sample.items, Fraction(1))
+    # g_j over the common denominator p·P: one normalization per point
+    g = [
+        Fraction(x.numerator * P - j * x.denominator, x.denominator * P)
+        for j, x in enumerate(xs)
+    ]
+    top, fall, fall_at = 1, Fraction(0), (1, 1, True)
+    low, rise, rise_at = 0, g[1], (0, 1, False)
+    # a fall beats the best when g_j < g_top − fall, a rise when
+    # g_k > g_low + rise; the two bars move only when top, low or a best does
+    floor = ceil = g[1]
     for j in range(1, N + 1):
-        here = xs[j] - Fraction(j, P)
-        if here > run:
-            run = here
-            run_i = j
-        cand = Fraction(j + 1, P) - xs[j] + run
-        if best is None or cand > best:
-            best = cand
-            best_witness = Witness(
-                u=xs[run_i], v=xs[j], u_from_left=True, v_from_left=False
-            )
-
-    run = Fraction(0)
-    run_i = 0
-    for j in range(0, N + 1):
-        here = Fraction(j, P) - xs[j]
-        if here > run:
-            run = here
-            run_i = j
-        cand = xs[j + 1] - Fraction(j, P) + run
-        if cand > best:
-            best = cand
-            best_witness = Witness(
-                u=xs[run_i], v=xs[j + 1], u_from_left=False, v_from_left=True
-            )
-
-    assert best is not None and best_witness is not None
+        here = g[j]
+        if here > g[top]:
+            top, floor = j, here - fall
+        elif here < floor:
+            fall, fall_at, floor = g[top] - here, (top, j, True), here
+        if here < g[low]:
+            low, ceil = j, here + rise
+        if g[j + 1] > ceil:
+            ceil = g[j + 1]
+            rise, rise_at = ceil - g[low], (low, j + 1, False)
+    best, (i, k, closed) = (rise, rise_at) if rise > fall else (fall, fall_at)
+    d = Fraction(1, P) + best
+    w = Witness(u=xs[i], v=xs[k], u_from_left=closed, v_from_left=not closed)
     return DiscrepancyReport(
-        n=sample.n,
-        D=float(best),
-        D_exact=best,
-        witness=best_witness,
-        sample_size=N,
+        n=sample.n, D=float(d), D_exact=d, witness=w, sample_size=N
     )
 
 

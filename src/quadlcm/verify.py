@@ -419,14 +419,14 @@ def check_discrepancy_hand_values(p: VerifyParams) -> str:
 
 def check_discrepancy_decay(p: VerifyParams) -> str:
     grid = geometric(100, p.discrepancy_max)
-    reps = [discrepancy.discrepancy(n) for n in grid]
+    scan = discrepancy.decay_scan(grid)
+    reps = scan.reports
     for a, b in zip(reps, reps[1:]):
         _require(b.D_exact < a.D_exact, f"D({b.n}) >= D({a.n})")
     for rep in reps:
         sample = discrepancy.collect_fractions(rep.n)
         _require(rep.witness.deviation(sample) == rep.D_exact,
                  f"witness replay n={rep.n}")
-    scan = discrepancy.decay_scan(grid)
     if len(grid) >= 3:
         _require(scan.exponent is not None and scan.exponent > 0, "decay fit exponent")
     return f"D strictly decreasing over {grid}, witnesses replay exactly"
