@@ -112,8 +112,8 @@ def discrepancy_of_sample(sample: FractionSample) -> DiscrepancyReport:
     ]
     top, fall, fall_at = 1, Fraction(0), (1, 1, True)
     low, rise, rise_at = 0, g[1], (0, 1, False)
-    # a fall beats the best when g_j < g_top − fall, a rise when
-    # g_k > g_low + rise; the two bars move only when top, low or a best does
+    # a fall beats the best when g_j < g_top − fall (never at a new top), a
+    # rise when g_k > g_low + rise; the bars move only when top, low or a best does
     floor = ceil = g[1]
     for j in range(1, N + 1):
         here = g[j]
