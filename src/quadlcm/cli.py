@@ -12,9 +12,11 @@ Conventions shared by every subcommand:
   --out, 3 when the exact-integer oracle cap is exceeded, 4 on modulus
   overflow.
 
-Each data command is one row of COMMANDS: its handler only computes and
-returns (key=value line or None, Table or JSON object); run_command does
-the worker resolution, timing, printing and writing for all of them.
+Each data command is one row of COMMANDS: it names the one submodule its
+handler computes with, and the handler only computes and returns (key=value
+line or None, Table or JSON object); run_command imports that submodule and
+does the worker resolution, timing, printing and writing for all of them.
+A run imports only its own command's submodule and what that imports.
 
 Worker counts resolve flag first, then the QUADLCM_WORKERS environment
 variable, then 1.  Reruns with identical config produce byte-identical
@@ -29,12 +31,13 @@ import os
 import sys
 import time
 from dataclasses import asdict
-from typing import NamedTuple
+from importlib import import_module
+from typing import Callable, NamedTuple
 
-from . import __version__, asymptotics, discrepancy, orders, primes, roots, verify
+from . import __version__
 from .errors import OracleCapError, QuadlcmError, RangeOverflowError
 from .reports import RunManifest, format_value, render_csv, render_json, write_report
-from .summation import GAMMA
+from .summation import GAMMA, geometric
 
 
 class UsageError(QuadlcmError, ValueError):
@@ -46,6 +49,17 @@ class Table(NamedTuple):
 
     header: tuple
     rows: list
+
+
+class Command(NamedTuple):
+    """One data command.  run_command imports the quadlcm submodule named
+    by `module` and calls handler(that submodule, args)."""
+
+    name: str
+    module: str
+    handler: Callable
+    help: str
+    flags: list
 
 
 def parse_grid(spec: str) -> list[int]:
@@ -61,7 +75,7 @@ def parse_grid(spec: str) -> list[int]:
         raise UsageError(
             "grid needs start >= 1, stop >= start, factor >= 2"
         )
-    return verify.geometric(start, stop, factor)
+    return geometric(start, stop, factor)
 
 
 def _resolve_workers(flag_value: int | None) -> int:
@@ -87,8 +101,11 @@ def run_command(args: argparse.Namespace) -> int:
     """
     if hasattr(args, "workers"):
         args.workers = _resolve_workers(args.workers)
+    command = args.func
+    # imported before the clock starts, so the compute phase is compute only
+    module = import_module(f".{command.module}", __package__)
     t0 = time.perf_counter()
-    line, report = args.func(args)
+    line, report = command.handler(module, args)
     wall = {"compute": time.perf_counter() - t0}
     if line is not None:
         print(line)
@@ -117,19 +134,19 @@ def run_command(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_psi(args):
+def cmd_psi(primes, args):
     value = primes.chebyshev_psi(args.n)
     ratio = value / args.n
     line = f"n={args.n} psi={format_value(value)} ratio={format_value(ratio)}"
     return line, {"n": args.n, "psi": value, "ratio": ratio}
 
 
-def cmd_counts(args):
+def cmd_counts(primes, args):
     pc = primes.prime_counts(args.n)
     return f"n={pc.n} pi={pc.pi} pi1={pc.pi1}", asdict(pc)
 
 
-def cmd_roots(args):
+def cmd_roots(roots, args):
     rows = [
         (item.p, item.nu, item.fraction.numerator, item.fraction.denominator)
         for item in roots.root_stream(args.lo, args.hi)
@@ -137,7 +154,7 @@ def cmd_roots(args):
     return None, Table(("p", "nu", "frac_num", "frac_den"), rows)
 
 
-def cmd_orders(args):
+def cmd_orders(orders, args):
     prof = orders.order_profile(args.p, args.n)
     line = (
         f"p={prof.p} n={prof.n} alpha={prof.alpha} beta={prof.beta} "
@@ -146,25 +163,27 @@ def cmd_orders(args):
     return line, asdict(prof)
 
 
-def cmd_lcm(args):
+def cmd_lcm(orders, args):
     ev = orders.log_lcm_exact(args.n, workers=args.workers)
     return f"n={ev.n} logL={format_value(ev.log_L)}", asdict(ev)
 
 
-def cmd_brute(args):
+def cmd_brute(orders, args):
+    if args.cap is None:
+        args.cap = orders.ORACLE_CAP_DEFAULT
     value = orders.log_lcm_bruteforce(args.n, cap=args.cap)
     line = f"n={args.n} logL={format_value(value)}"
     return line, {"n": args.n, "log_L": value, "cap": args.cap}
 
 
-def cmd_badprimes(args):
+def cmd_badprimes(orders, args):
     found = orders.square_divisor_primes(args.n)
     bound = 8.0 * args.n ** (2.0 / 3.0)
     line = f"n={args.n} count={len(found)} bound={format_value(bound)}"
     return line, Table(("p",), [(p,) for p in found])
 
 
-def cmd_decomp(args):
+def cmd_decomp(orders, args):
     rep = orders.decomposition_report(args.n, workers=args.workers)
     line = (
         f"n={rep.n} small={format_value(rep.small_sum)} "
@@ -179,7 +198,7 @@ def cmd_decomp(args):
     return line, obj
 
 
-def cmd_discrepancy(args):
+def cmd_discrepancy(discrepancy, args):
     if args.n is None and args.grid is None:
         raise UsageError("discrepancy needs --n or --grid")
     if args.n is not None and args.grid is not None:
@@ -196,16 +215,17 @@ def cmd_discrepancy(args):
     return None, Table(header, rows)
 
 
+# --g choice -> the discrepancy function that builds the test function
 _TEST_FUNCTIONS = {
-    "one": discrepancy.constant_one,
-    "t": discrepancy.identity_map,
-    "t2": discrepancy.square_map,
-    "tent": discrepancy.tent_map,
+    "one": "constant_one",
+    "t": "identity_map",
+    "t2": "square_map",
+    "tent": "tent_map",
 }
 
 
-def cmd_equisum(args):
-    g = _TEST_FUNCTIONS[args.g]()
+def cmd_equisum(discrepancy, args):
+    g = getattr(discrepancy, _TEST_FUNCTIONS[args.g])()
     res = discrepancy.equidistribution_sum(g, args.lo, args.hi)
     line = (
         f"g={args.g} lo={args.lo} hi={args.hi} "
@@ -214,7 +234,7 @@ def cmd_equisum(args):
     return line, {"g": args.g, "lo": args.lo, "hi": args.hi, **res._asdict()}
 
 
-def cmd_centered(args):
+def cmd_centered(discrepancy, args):
     rows = []
     for n in parse_grid(args.grid):
         value = discrepancy.centered_fraction_sum(n)
@@ -223,7 +243,7 @@ def cmd_centered(args):
     return None, Table(("n", "centered_sum", "normalized"), rows)
 
 
-def cmd_mertens(args):
+def cmd_mertens(asymptotics, args):
     rows = []
     for x in parse_grid(args.grid):
         value = asymptotics.mertens_log_sum(x)
@@ -232,7 +252,7 @@ def cmd_mertens(args):
     return None, Table(("x", "sum", "reference", "deviation"), rows)
 
 
-def cmd_charsum(args):
+def cmd_charsum(asymptotics, args):
     grid = parse_grid(args.grid)
     limit = asymptotics.compute_B("accelerated").s_value
     rows = []
@@ -242,7 +262,7 @@ def cmd_charsum(args):
     return None, Table(("x", "sum", "limit", "deviation"), rows)
 
 
-def cmd_constant_b(args):
+def cmd_constant_b(asymptotics, args):
     ev = asymptotics.compute_B(args.mode, p_max=args.p_max, depth=args.depth)
     line = (
         f"mode={ev.mode} B={format_value(ev.value)} "
@@ -251,7 +271,7 @@ def cmd_constant_b(args):
     return line, asdict(ev)
 
 
-def cmd_residuals(args):
+def cmd_residuals(asymptotics, args):
     grid = parse_grid(args.grid)
     reps = asymptotics.residual_scan(grid, theta=args.theta, workers=args.workers)
     rows = [(r.n, r.log_L, r.main, r.r, r.normalized) for r in reps]
@@ -259,7 +279,9 @@ def cmd_residuals(args):
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_verify(args.level)
+    from .verify import run_verify
+
+    results = run_verify(args.level)
     for r in results:
         print(("PASS" if r.ok else "FAIL"), r.name, "::", r.detail)
     failures = [r for r in results if not r.ok]
@@ -280,32 +302,41 @@ _WORKERS = _flag("--workers", type=int, default=None,
                  help="worker processes (default: QUADLCM_WORKERS or 1)")
 _LO_HI = [_flag("--lo", type=int, required=True), _flag("--hi", type=int, required=True)]
 
-# (name, handler, help, flags); build_parser adds --out to every entry.
+# build_parser adds --out to every entry.
 COMMANDS = [
-    ("psi", cmd_psi, "Chebyshev psi(n) = log lcm(1..n)", [_N]),
-    ("counts", cmd_counts, "prime counts pi(n) and pi1(n)", [_N]),
-    ("roots", cmd_roots, "roots of x²+1 over primes in (lo, hi]", _LO_HI),
-    ("orders", cmd_orders, "alpha/beta order profile of one prime",
-     [_flag("--p", type=int, required=True), _N]),
-    ("lcm", cmd_lcm, "exact log L_n via the prime-order correction", [_N, _WORKERS]),
-    ("brute", cmd_brute, "exact-integer lcm oracle (capped)",
-     [_N, _flag("--cap", type=int, default=orders.ORACLE_CAP_DEFAULT)]),
-    ("badprimes", cmd_badprimes, "medium primes whose square divides some i²+1", [_N]),
-    ("decomp", cmd_decomp, "correction pieces split at the n^(2/3) boundary", [_N, _WORKERS]),
-    ("discrepancy", cmd_discrepancy, "exact star discrepancy of root fractions",
-     [_flag("--n", type=int, default=None),
-      _flag("--grid", default=None, help="start:stop:factor")]),
-    ("equisum", cmd_equisum, "weighted sum of a test function over root fractions",
-     [_flag("--g", choices=sorted(_TEST_FUNCTIONS), required=True), *_LO_HI]),
-    ("centered", cmd_centered, "centered fractional sums on a grid", [_GRID]),
-    ("mertens", cmd_mertens, "Mertens-type log sums on a grid", [_GRID]),
-    ("charsum", cmd_charsum, "character-weighted log sums on a grid", [_GRID]),
-    ("constant-b", cmd_constant_b, "the linear-term constant B",
-     [_flag("--mode", choices=("accelerated", "naive"), default="accelerated"),
-      _flag("--p-max", dest="p_max", type=int, default=10**6),
-      _flag("--depth", type=int, default=48)]),
-    ("residuals", cmd_residuals, "log L_n minus the n log n + B n main term",
-     [_GRID, _flag("--theta", type=float, default=0.44), _WORKERS]),
+    Command("psi", "primes", cmd_psi, "Chebyshev psi(n) = log lcm(1..n)", [_N]),
+    Command("counts", "primes", cmd_counts, "prime counts pi(n) and pi1(n)", [_N]),
+    Command("roots", "roots", cmd_roots, "roots of x²+1 over primes in (lo, hi]", _LO_HI),
+    Command("orders", "orders", cmd_orders, "alpha/beta order profile of one prime",
+            [_flag("--p", type=int, required=True), _N]),
+    Command("lcm", "orders", cmd_lcm, "exact log L_n via the prime-order correction",
+            [_N, _WORKERS]),
+    Command("brute", "orders", cmd_brute, "exact-integer lcm oracle (capped)",
+            [_N, _flag("--cap", type=int, default=None,
+                       help="largest n the oracle takes (default: orders.ORACLE_CAP_DEFAULT)")]),
+    Command("badprimes", "orders", cmd_badprimes,
+            "medium primes whose square divides some i²+1", [_N]),
+    Command("decomp", "orders", cmd_decomp, "correction pieces split at the n^(2/3) boundary",
+            [_N, _WORKERS]),
+    Command("discrepancy", "discrepancy", cmd_discrepancy,
+            "exact star discrepancy of root fractions",
+            [_flag("--n", type=int, default=None),
+             _flag("--grid", default=None, help="start:stop:factor")]),
+    Command("equisum", "discrepancy", cmd_equisum,
+            "weighted sum of a test function over root fractions",
+            [_flag("--g", choices=sorted(_TEST_FUNCTIONS), required=True), *_LO_HI]),
+    Command("centered", "discrepancy", cmd_centered, "centered fractional sums on a grid",
+            [_GRID]),
+    Command("mertens", "asymptotics", cmd_mertens, "Mertens-type log sums on a grid", [_GRID]),
+    Command("charsum", "asymptotics", cmd_charsum, "character-weighted log sums on a grid",
+            [_GRID]),
+    Command("constant-b", "asymptotics", cmd_constant_b, "the linear-term constant B",
+            [_flag("--mode", choices=("accelerated", "naive"), default="accelerated"),
+             _flag("--p-max", dest="p_max", type=int, default=10**6),
+             _flag("--depth", type=int, default=48)]),
+    Command("residuals", "asymptotics", cmd_residuals,
+            "log L_n minus the n log n + B n main term",
+            [_GRID, _flag("--theta", type=float, default=0.44), _WORKERS]),
 ]
 
 
@@ -316,12 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"quadlcm {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, handler, help_text, flags in COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        for names, kwargs in flags:
+    for command in COMMANDS:
+        p = sub.add_parser(command.name, help=command.help)
+        for names, kwargs in command.flags:
             p.add_argument(*names, **kwargs)
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.set_defaults(func=handler)
+        p.set_defaults(func=command)
 
     p = sub.add_parser("verify", help="run the built-in invariant suites")
     p.add_argument("level", nargs="?", choices=("quick", "full"), default="quick")

@@ -111,9 +111,11 @@ def zeta_em(s: int) -> SeriesValue:
         half = Decimal(1) / (2 * M**s)
         val += half
         der -= half * logm
-        # corrections c_j(s) M^(-s-2j+1), each exact rational rounded once
+        # corrections c_j(s) M^(-s-2j+1), each exact rational rounded once,
+        # as one integer quotient
         for j in range(1, _EM_ORDER + 1):
-            term = from_fraction(_em_coeff(s, j) / M ** (s + 2 * j - 1))
+            c = _em_coeff(s, j)
+            term = CONTEXT.divide(c.numerator, c.denominator * M ** (s + 2 * j - 1))
             val += term
             der += term * (from_fraction(_em_coeff_logsum(s, j)) - logm)
     j = _EM_ORDER + 1
@@ -157,9 +159,10 @@ def l4_em(s: int) -> SeriesValue:
         der += (logb * bps - loga * aps) / 2
         # corrections, with the 4^(2j-1) factor from absorbing 4^-s exactly
         for j in range(1, _EM_ORDER + 1):
-            cj = _em_coeff(s, j) * 4 ** (2 * j - 1)
-            ta = from_fraction(cj / a ** (s + 2 * j - 1))
-            tb = from_fraction(cj / b ** (s + 2 * j - 1))
+            c = _em_coeff(s, j)
+            num, den = c.numerator * 4 ** (2 * j - 1), c.denominator
+            ta = CONTEXT.divide(num, den * a ** (s + 2 * j - 1))
+            tb = CONTEXT.divide(num, den * b ** (s + 2 * j - 1))
             val += ta - tb
             hj = from_fraction(_em_coeff_logsum(s, j))
             der += ta * (hj - loga) - tb * (hj - logb)

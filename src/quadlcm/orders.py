@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from multiprocessing import Pool
 from typing import Callable, Sequence
 
 from .errors import InvalidRangeError, OracleCapError
@@ -216,6 +215,9 @@ def _map_blocks(fn: Callable, blocks: Sequence, workers: int) -> list:
     """
     if workers <= 1 or len(blocks) <= 1:
         return [fn(b) for b in blocks]
+    # imported here, so a serial run never loads multiprocessing
+    from multiprocessing import Pool
+
     with Pool(processes=min(workers, len(blocks))) as pool:
         return list(pool.imap(fn, blocks, chunksize=1))
 
@@ -299,16 +301,20 @@ def _blocks(n: int) -> list[tuple[int, int, int]]:
 
 def _correction_block(args: tuple[int, int, int]) -> float:
     """fsum of the nonzero (alpha − beta) log p over primes p in (lo, hi],
-    each from `_order_counts`.  p = 2 is the caller's."""
+    each from `_order_counts`.  p = 2 is the caller's.  The terms reach
+    fsum as a stream, so a block never keeps them in a list; fsum rounds
+    their exact sum once, whatever their order."""
     lo, hi, n = args
-    log = math.log
-    terms: list[float] = []
-    for p, nu in prime_roots(lo, hi):
-        alpha, beta, _ = _order_counts(p, n, nu)
-        d = alpha - beta
-        if d:
-            terms.append(d * log(p))
-    return math.fsum(terms)
+
+    def terms():
+        log = math.log
+        for p, nu in prime_roots(lo, hi):
+            alpha, beta, _ = _order_counts(p, n, nu)
+            d = alpha - beta
+            if d:
+                yield d * log(p)
+
+    return math.fsum(terms())
 
 
 def _correction_partials(n: int, workers: int) -> list[float]:

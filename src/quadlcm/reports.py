@@ -60,14 +60,15 @@ def write_report(path: str | Path, text: str) -> str:
 class RunManifest:
     """Reproducibility sidecar for one CLI run.
 
-    files maps each emitted data file to its sha256; wall_seconds is
-    informational and excluded from the byte-identity contract.
+    files maps each emitted data file to its sha256; wall_seconds maps each
+    phase of the run ("compute", "write") to its wall time in seconds, and
+    is informational and excluded from the byte-identity contract.
     """
 
     command: str
     version: str
     config: dict
-    wall_seconds: float
+    wall_seconds: dict[str, float]
     files: dict
 
     def render(self) -> str:

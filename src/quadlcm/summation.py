@@ -8,7 +8,8 @@ run in CONTEXT, a 40-digit `decimal` context whose + − × ÷ and ln are
 correctly rounded by the decimal specification.  Every entry point works in
 CONTEXT, through its methods or `localcontext(CONTEXT)`, never in the
 caller's context; outside such a block negate with `copy_negate()`, since
-unary minus rounds in the current context.
+unary minus rounds in the current context.  `geometric` is the one grid
+rule, shared by the CLI's start:stop:factor specs and the verify checks.
 """
 
 from __future__ import annotations
@@ -31,6 +32,17 @@ LN2 = CONTEXT.ln(2)
 def from_fraction(f: Fraction) -> Decimal:
     """f rounded once to CONTEXT."""
     return CONTEXT.divide(f.numerator, f.denominator)
+
+
+def geometric(lo: int, hi: int, factor: int = 10) -> list[int]:
+    """lo, lo·factor, lo·factor², ... up to hi: the grid of every verify
+    check and of the CLI's start:stop:factor specs."""
+    out = []
+    n = lo
+    while n <= hi:
+        out.append(n)
+        n *= factor
+    return out
 
 
 def log_of_bigint(v: int) -> float:

@@ -21,7 +21,7 @@ from itertools import zip_longest
 from . import asymptotics, discrepancy, orders, primes, roots
 from .dirichlet import neg_log_deriv_zeta
 from .errors import EmptySampleError, NotOneModFourError
-from .summation import GAMMA, log_of_bigint
+from .summation import GAMMA, geometric, log_of_bigint
 
 
 @dataclass(frozen=True)
@@ -79,17 +79,6 @@ def _require(cond: bool, msg: str) -> None:
     """Fail the running check with msg; unlike assert, survives python -O."""
     if not cond:
         raise AssertionError(msg)
-
-
-def geometric(lo: int, hi: int, factor: int = 10) -> list[int]:
-    """lo, lo·factor, lo·factor², ... up to hi: the grid of every check and
-    of the CLI's start:stop:factor specs."""
-    out = []
-    n = lo
-    while n <= hi:
-        out.append(n)
-        n *= factor
-    return out
 
 
 def _trial_factor(m: int, trial_limit: int) -> tuple[dict[int, int], int]:

@@ -41,7 +41,7 @@ def test_overflow_exit_code(capsys, monkeypatch):
     def boom(n, workers=1):
         raise RangeOverflowError("modulus beyond the machine range")
 
-    monkeypatch.setattr(cli.orders, "log_lcm_exact", boom)
+    monkeypatch.setattr("quadlcm.orders.log_lcm_exact", boom)
     code, _, err = run(capsys, "lcm", "--n", "10")
     assert code == 4
     assert "machine range" in err
