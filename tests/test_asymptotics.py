@@ -1,5 +1,6 @@
 """Prime harmonic sums, the constant B, and residuals against the main term."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -24,11 +25,39 @@ from quadlcm.orders import log_lcm_bruteforce
 
 GAMMA = 0.5772156649015329
 
-# Frozen from the high-precision oracle run recorded alongside these tests:
-# B = gamma - 1 - (log 2)/2 - S with S evaluated through the accelerated
-# booster at depth 48 and cross-checked against a depth-64 evaluation.
-B_REF = Fraction("-0.06627563421306070640742")
-S_REF = Fraction("-0.7030822911653790876947")
+# B = gamma - 1 - (log 2)/2 - S and S to 29 digits, from mpmath_b() below
+B_REF = Fraction("-0.066275634213060706422591211655")
+S_REF = Fraction("-0.70308229116537908767951275899")
+
+# mpmath's Dirichlet series for each character, as its values mod q
+_MP_CHARS = {CHAR_PRINCIPAL: [0, 1], CHAR_QUADRATIC: [0, 1, 0, -1]}
+
+
+@functools.lru_cache(maxsize=None)
+def mpmath_b():
+    """(S, B) at 50 digits by an algorithm independent of the package's:
+    Moebius inversion P_chi(k) = sum_m mu(m) G_{chi^m}(mk) of the
+    logarithmic derivatives G = -L'/L that mpmath evaluates, with chi^m
+    the principal character for even m.  Arguments mk > 100 are dropped
+    (each |G| there is below 3^-100) and so is the S tail k >= 70 (below
+    3^-69); both sit far under the 1e-25 the tests resolve."""
+    with mpmath.workdps(50):
+
+        @functools.lru_cache(maxsize=None)
+        def g(char, t):
+            chi = _MP_CHARS[char]
+            return -mpmath.dirichlet(t, chi, derivative=1) / mpmath.dirichlet(t, chi)
+
+        def p_quad(k):
+            return mpmath.fsum(
+                sympy.mobius(m) * g(CHAR_QUADRATIC if m % 2 else CHAR_PRINCIPAL, m * k)
+                for m in range(1, 100 // k + 1)
+                if sympy.mobius(m)
+            )
+
+        s = mpmath.fsum(p_quad(k) for k in range(1, 70))
+        b = mpmath.euler - 1 - mpmath.log(2) / 2 - s
+        return Fraction(mpmath.nstr(s, 45)), Fraction(mpmath.nstr(b, 45))
 
 
 def test_mertens_hand_values():
@@ -88,11 +117,24 @@ def test_power_sum_domain_errors():
 def test_compute_b_accelerated_against_frozen_oracle():
     ev = compute_B("accelerated")
     got = Fraction(ev.value_hi) + Fraction(ev.value_lo)
-    assert abs(got - B_REF) <= Fraction(ev.tail_bound) + Fraction(1, 10**21)
+    assert abs(got - B_REF) <= Fraction(ev.tail_bound) + Fraction(1, 10**25)
     assert abs(Fraction(ev.s_value) - S_REF) < Fraction(1, 10**15)
     assert -0.0662756392 <= ev.value <= -0.0662756292
     assert ev.mode == "accelerated"
     assert ev.depth == 48 and ev.p_max is None
+
+
+def test_reference_constants_match_the_mpmath_oracle():
+    s, b = mpmath_b()
+    assert abs(s - S_REF) < Fraction(1, 10**29)
+    assert abs(b - B_REF) < Fraction(1, 10**29)
+
+
+@pytest.mark.parametrize("depth", [16, 48])
+def test_compute_b_is_within_its_tail_bound_of_the_mpmath_oracle(depth):
+    ev = compute_B("accelerated", depth=depth)
+    got = Fraction(ev.value_hi) + Fraction(ev.value_lo)
+    assert abs(got - mpmath_b()[1]) <= Fraction(ev.tail_bound)
 
 
 def test_compute_b_recombination_is_reconstructible():
@@ -129,6 +171,82 @@ COMPUTE_B_PINS = {
         1.5289443797637176e-08,
     ),
 }
+
+
+# (hi, lo, tail_bound) of prime_log_power_sum(s, CHAR_TRIVIAL), pinned with ==
+TRIVIAL_POWER_SUM_PINS = {
+    2: (0.49309110936876444, 2.6868787825368647e-17, 4.0887940668275244e-20),
+    3: (0.15075755554395043, -5.6183086274896144e-18, 3.233653802577971e-20),
+    4: (0.06060763335077007, -3.4100361536934775e-18, 3.53658612502134e-21),
+    5: (0.02683860127679836, -1.2231746619809147e-18, 2.060879911448693e-20),
+    6: (0.01245908072279999, 6.884529712714767e-19, 1.0570535672339682e-20),
+    7: (0.005940689039148196, 3.0674095502807222e-19, 1.7662293264972264e-21),
+    8: (0.0028795247087292472, 1.6742484638486146e-19, 2.9528163304755602e-22),
+    9: (0.0014104919214245313, -4.654034756699668e-20, 5.876935380104929e-22),
+    10: (0.0006956784473446205, 1.1325859403529551e-20, 5.894130523493729e-22),
+    11: (0.0003446864256305149, -1.6962023434347522e-20, 2.818628378736658e-20),
+    12: (0.00017129935244621756, 8.780317055107392e-21, 4.403747442917777e-22),
+    13: (8.530310916711058e-05, 6.065119293521038e-21, 1.8794672550503593e-20),
+    14: (4.253630557412291e-05, -5.620179045704883e-23, 5.8722600602689175e-22),
+    15: (2.1229790562749345e-05, 1.5118501413685831e-21, 1.834913287755092e-23),
+    16: (1.060211861676128e-05, -5.898162269679552e-22, 5.733841557806815e-25),
+    17: (5.296802557643848e-06, 6.932066429623385e-24, 4.6969659116986194e-21),
+    18: (2.6469827878029976e-06, -2.059107469349995e-22, 2.9355980954169247e-22),
+    19: (1.3230186485122927e-06, 4.5345578914064845e-23, 1.8347470598555514e-23),
+    20: (6.6135175941726e-07, -6.77273863876568e-24, 1.1467163656082513e-24),
+    21: (3.306233614825209e-07, -2.345404501812006e-23, 7.166975576304436e-26),
+    22: (1.6529417534260667e-07, -5.284089827958306e-24, 9.393900467087602e-21),
+    23: (8.264125267365856e-08, -1.7539786918112907e-24, 1.1742372784227073e-21),
+    24: (4.1318681364650836e-08, -1.3139128307101324e-24, 1.4677964230522095e-22),
+    25: (2.065869236367124e-08, 1.0644118881649972e-24, 1.8347454194554668e-23),
+    26: (1.0329130076698341e-08, -7.935996550935462e-25, 2.2934317059695775e-24),
+    27: (5.164493003519525e-09, 2.354151093689976e-25, 2.866789589743417e-25),
+    28: (2.5822224901930982e-09, 1.9928929190022556e-25, 3.5834869604801907e-26),
+    29: (1.291103241249637e-09, 4.001244094904489e-26, 4.479358683913318e-27),
+    30: (6.455489526775763e-10, -5.131203623694188e-26, 5.599198344462325e-28),
+    31: (3.2277358702338636e-10, -7.439936512934019e-27, 6.99899792405958e-29),
+    32: (1.6138649707329504e-10, 1.1820925859274176e-26, 8.748747401000522e-30),
+    33: (8.069314973325587e-11, 5.295876452978746e-27, 9.393895988821993e-21),
+    34: (4.034654192668704e-11, 1.1482270994248853e-27, 2.3484739970636253e-21),
+    35: (2.0173259983559483e-11, 9.626361082654393e-28, 5.871184992482447e-22),
+    36: (1.0086626331900766e-11, -1.6165861962149511e-28, 1.4677962480986155e-22),
+    37: (5.043311946002979e-12, -2.293387087188352e-28, 3.669490620219133e-23),
+    38: (2.5216555663554168e-12, -1.7669528240395182e-28, 9.173726550513674e-24),
+    39: (1.2608276476297829e-12, -6.409395940085501e-29, 2.2934316376241598e-24),
+    40: (6.304137786324409e-13, -6.48373260783293e-30, 5.733579094055088e-25),
+    41: (3.152068742554514e-13, -7.613716621575866e-30, 1.4333947735131093e-25),
+    42: (1.5760343210748132e-13, -1.0256986254474415e-29, 3.5834869337819474e-26),
+    43: (7.880171438032885e-14, -2.569781032094564e-30, 8.958717334453835e-27),
+    44: (3.940085663236123e-14, 1.7262325948826828e-30, 2.23967933361333e-27),
+    45: (1.9700428130246406e-14, 2.885928791650689e-31, 5.599198334033164e-28),
+    46: (9.85021400314518e-15, -1.8164687153870876e-31, 1.3997995835082712e-28),
+    47: (4.925106980913261e-15, -3.651231714899331e-31, 3.499498958770652e-29),
+    48: (2.46255348357019e-15, 1.4464778479962651e-31, 8.7487473969266e-30),
+    49: (1.2312767394896156e-15, 5.594725499417869e-32, 2.187186849231646e-30),
+    50: (6.156383689796482e-16, 7.583213489494239e-33, 5.467967123079111e-31),
+    51: (3.07819184234771e-16, -2.3173589868036126e-32, 1.366991780769777e-31),
+    52: (1.5390959203236779e-16, -9.182870805392428e-33, 3.4174794519244415e-32),
+    53: (7.695479598784466e-17, -9.420828512604602e-34, 8.543698629811104e-33),
+    54: (3.8477397984475916e-17, 1.4574133037233799e-33, 2.1359246574527756e-33),
+    55: (1.9238698989089155e-17, 5.223617780388329e-34, 5.339811643631939e-34),
+    56: (9.619349493494977e-18, 2.3689885449766484e-34, 1.3349529109079848e-34),
+    57: (4.8096747463976215e-18, -1.3531040397469784e-34, 3.337382277269962e-35),
+    58: (2.4048373730821884e-18, -2.1065284482761546e-35, 8.343455693174905e-36),
+    59: (1.20241868650222e-18, 5.6926275123575826e-36, 2.0858639232937262e-36),
+    60: (6.01209343238152e-19, 8.428560856588313e-36, 5.2146598082343154e-37),
+    61: (3.0060467161475666e-19, -9.930930871949898e-36, 1.3036649520585789e-37),
+    62: (1.5030233580593856e-19, -9.669671920566922e-36, 3.259162380146447e-38),
+    63: (7.515116790248935e-20, -2.3878347541794775e-36, 8.147905950366118e-39),
+    64: (3.7575583951084695e-20, 1.6286057121463793e-36, 2.0369764875915295e-39),
+}
+
+
+def test_trivial_power_sums_are_pinned():
+    got = {}
+    for s in TRIVIAL_POWER_SUM_PINS:
+        ps = prime_log_power_sum(s, CHAR_TRIVIAL)
+        got[s] = (ps.hi, ps.lo, ps.tail_bound)
+    assert got == TRIVIAL_POWER_SUM_PINS
 
 
 @pytest.mark.parametrize("depth", sorted(COMPUTE_B_PINS))

@@ -1,5 +1,6 @@
 """Euler-Maclaurin zeta and L(s, chi_4) values against mpmath at 50 digits."""
 
+import hashlib
 from fractions import Fraction
 
 import mpmath
@@ -102,3 +103,14 @@ def test_em_coeff_logsum_equals_direct_sum():
         for j in range(1, 22):
             want = sum((Fraction(1, s + i) for i in range(2 * j - 1)), Fraction(0))
             assert _em_coeff_logsum(s, j) == want
+
+
+# sha256 of the reprs of zeta_em(2..64) and l4_em(1..64), one per line:
+# every value, derivative and tail_bound bit for bit
+SERIES_DIGEST = "42d7ef5010db6fb287eff85de73ff69d0a3a742da8d7179057fa2ce3c6764ed3"
+
+
+def test_series_values_are_pinned():
+    reprs = [repr(zeta_em(s)) for s in range(2, 65)]
+    reprs += [repr(l4_em(s)) for s in range(1, 65)]
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == SERIES_DIGEST
