@@ -1,22 +1,26 @@
-"""Zeta and mod-4 L-series values and s-derivatives at integer arguments.
+"""Zeta, odd-zeta and mod-4 L-series values and s-derivatives at integer
+arguments, by one Euler-Maclaurin routine.
 
-Both series are evaluated by Euler-Maclaurin acceleration in the 40-digit
-decimal CONTEXT: a short main sum, the integral and half-term boundary
-pieces, and correction terms B_2j/(2j)! (s)_{2j-1} M^{-s-2j+1}.  Every
-coefficient in that scaffolding is an exact rational at integer s
-(Bernoulli numbers, rising factorials, harmonic-like h_j sums), and each
-power of an integer is exact, so every term is rounded once; the only
-other roundings are the logarithms of integers and the sums.
+A series is (q, residues): the sum of sign · x^-s over x > 0 with
+x ≡ r mod q, for each (r, sign) in residues.  ZETA, LAMBDA (odd x only,
+lambda(s) = (1 − 2^-s) zeta(s)) and L4 (L(s, chi_4)) are the three the
+prime power sums use.  `em_series` evaluates any of them in the 40-digit
+decimal CONTEXT: a main sum over x < qM, the integral and half-term
+boundary pieces at each residue's first x ≥ qM, and correction terms
+c_j(s) q^(2j−1) a^(−s−2j+1) with c_j(s) = B_2j/(2j)! (s)_{2j−1}.  Every
+coefficient is an exact integer ratio at integer s, and each power of an
+integer is exact, so every term is rounded once; the only other roundings
+are the logarithms of integers and the sums.
 
-The L-series is summed in paired-difference form,
+The residues are summed in paired-difference form, term by term,
 
     L(s) = sum_k [(4k+1)^-s - (4k+3)^-s] + tail differences,
 
 never as 4^-s [zeta(s,1/4) - zeta(s,3/4)]: at s = 64 the Hurwitz values
 are ~4^64 while L is ~1, and that subtraction would burn 38 of the 40
-digits.  In paired form each difference cancels at most a few bits.
-s = 1 (conditionally convergent, value pi/4) is handled by the exact limit
-of the boundary term.
+digits.  In paired form each difference cancels at most a few bits.  When
+the signs sum to 0 the series has no pole, and s = 1 (conditionally
+convergent; pi/4 for L4) takes the exact limit of the integral piece.
 """
 
 from __future__ import annotations
@@ -26,14 +30,19 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .errors import DivergentSeriesError, InvalidRangeError
-from .summation import CONTEXT, from_fraction
+from .summation import CONTEXT
 
 # Main-sum length and correction order. At M=40 the first omitted
 # correction is ~1e-50 for every s >= 1, below the 40-digit resolution.
 _EM_TERMS = 40
 _EM_ORDER = 20
+
+ZETA = (1, ((1, 1),))
+LAMBDA = (2, ((1, 1),))
+L4 = (4, ((1, 1), (3, -1)))
 
 
 @dataclass(frozen=True)
@@ -47,137 +56,116 @@ class SeriesValue:
 
 
 @lru_cache(maxsize=None)
-def _bernoulli(m: int) -> Fraction:
-    """B_m (B_1 = -1/2 convention), by the defining recurrence."""
-    if m == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for k in range(m):
-        acc += math.comb(m + 1, k) * _bernoulli(k)
-    return -acc / (m + 1)
+def _scaled_weight(n: int) -> Fraction:
+    """u_n = 4^n B_2n/(2n)!, from (x/2) coth(x/2) = sum of B_2n x^2n/(2n)!:
+    multiplied by sinh(x/2) it is (x/2) cosh(x/2), so sum over j <= n of
+    u_j/(2n-2j+1)! equals 1/(2n)!."""
+    acc = Fraction(1, math.factorial(2 * n))
+    for j in range(n):
+        acc -= _scaled_weight(j) / math.factorial(2 * (n - j) + 1)
+    return acc
 
 
 @lru_cache(maxsize=None)
-def _rising(s: int, count: int) -> int:
-    """s (s+1) ... (s+count-1), exact."""
-    out = 1
-    for i in range(count):
-        out *= s + i
-    return out
+def _weight(j: int) -> tuple[int, int]:
+    """B_2j/(2j)! as a (numerator, denominator) pair."""
+    u = _scaled_weight(j)
+    return u.numerator, u.denominator * 4**j
 
 
-@lru_cache(maxsize=None)
-def _em_coeff(s: int, j: int) -> Fraction:
-    """c_j(s) = B_2j / (2j)! * (s)_{2j-1}, the j-th correction weight."""
-    return _bernoulli(2 * j) / math.factorial(2 * j) * _rising(s, 2 * j - 1)
-
-
-@lru_cache(maxsize=None)
-def _em_coeff_logsum(s: int, j: int) -> Fraction:
-    """h_j(s) = d/ds log (s)_{2j-1} = sum of 1/(s+i) for i < 2j-1, by the
-    recurrence h_1 = 1/s, h_j = h_{j-1} + 1/(s+2j-3) + 1/(s+2j-2) over the
-    cached h_{j-1}: two exact Fraction additions per (s, j)."""
-    if j == 1:
-        return Fraction(1, s)
-    step = Fraction(1, s + 2 * j - 3) + Fraction(1, s + 2 * j - 2)
-    return _em_coeff_logsum(s, j - 1) + step
+def _rising_factorials(s: int):
+    """(s)_{2j-1} and its s-derivative, both integers, for j = 1, 2, ...:
+    their ratio is h_j(s) = sum of 1/(s+i) for i < 2j-1, and both gain
+    the factors (s+2j-1)(s+2j) from j to j+1."""
+    rise, dr, j = s, 1, 1
+    while True:
+        yield rise, dr
+        u, v = s + 2 * j - 1, s + 2 * j
+        rise, dr, j = rise * u * v, dr * u * v + rise * (u + v), j + 1
 
 
 @lru_cache(maxsize=None)
 def _ln(k: int) -> Decimal:
-    """ln k in CONTEXT, cached: the two series take about 120 distinct k."""
+    """ln k in CONTEXT, cached: the series take about 160 distinct k."""
     return CONTEXT.ln(k)
 
 
 @lru_cache(maxsize=None)
+def em_series(q: int, residues: tuple, s: int) -> SeriesValue:
+    """The series (q, residues) and its s-derivative at integer s >= 1
+    (s >= 2 when the signs do not sum to 0)."""
+    signs = [Decimal(sign) for _, sign in residues]
+    if s < 2 and sum(signs):
+        raise DivergentSeriesError("the series has a pole at s = 1; it needs s >= 2")
+    if s < 1:
+        raise InvalidRangeError("the series needs s >= 1")
+    M = _EM_TERMS
+    tails = [q * M + r % q for r, _ in residues]
+    logs = [_ln(a) for a in tails]
+
+    def signed(terms):
+        return sum(map(mul, signs, terms))
+
+    with localcontext(CONTEXT):
+        val = der = Decimal(0)
+        for xs in zip(*(range(r, q * M, q) for r, _ in residues)):
+            powers = [Decimal(1) / x**s for x in xs]
+            val += signed(powers)
+            der -= signed(map(mul, map(_ln, xs), powers))
+        if s == 1:
+            # sum sign a^(1-s)/(q(s-1)) -> -sum sign log a/q as s -> 1, and its
+            # own s-derivative -> sum sign log^2 a/(2q)
+            val -= signed(logs) / q
+            der += signed(lg * lg for lg in logs) / (2 * q)
+        else:
+            # integral piece sum sign a^(1-s)/(q(s-1))
+            inv = [Decimal(1) / a ** (s - 1) for a in tails]
+            piece = signed(inv) / (q * (s - 1))
+            val += piece
+            dinv = signed(lg * p for lg, p in zip(logs, inv)) / (q * (s - 1))
+            der -= dinv + piece / (s - 1)
+        # half terms sign a^-s/2
+        powers = [Decimal(1) / a**s for a in tails]
+        val += signed(powers) / 2
+        der -= signed(lg * p for lg, p in zip(logs, powers)) / 2
+        # corrections c_j(s) q^(2j-1) a^(-s-2j+1), each one integer quotient,
+        # and their s-derivatives through h_j(s) = d/ds log (s)_{2j-1}
+        rising = _rising_factorials(s)
+        for j, (rise, dr) in zip(range(1, _EM_ORDER + 1), rising):
+            num, den = _weight(j)
+            num *= rise * q ** (2 * j - 1)
+            terms = [CONTEXT.divide(num, den * a ** (s + 2 * j - 1)) for a in tails]
+            val += signed(terms)
+            hj = CONTEXT.divide(dr, rise)
+            der += signed(t * (hj - lg) for t, lg in zip(terms, logs))
+    j = _EM_ORDER + 1
+    (num, den), (rise, _) = _weight(j), next(rising)
+    first = abs(num) * rise * q ** (2 * j - 1) / (den * min(tails) ** (s + 2 * j - 1))
+    return SeriesValue(value=val, derivative=der, tail_bound=len(tails) * first)
+
+
 def zeta_em(s: int) -> SeriesValue:
     """zeta(s) and zeta'(s) for integer s >= 2."""
-    if s < 2:
-        raise DivergentSeriesError("zeta(s) needs s >= 2 (pole at s = 1)")
-    M = _EM_TERMS
-    logm = _ln(M)
-    with localcontext(CONTEXT):
-        val = Decimal(1)  # k = 1 term; its log is 0
-        der = Decimal(0)
-        for k in range(2, M):
-            kp = Decimal(1) / k**s
-            val += kp
-            der -= _ln(k) * kp
-        # integral piece M^(1-s)/(s-1)
-        piece = Decimal(1) / ((s - 1) * M ** (s - 1))
-        val += piece
-        der -= piece * logm + piece / (s - 1)
-        # half-term M^-s / 2
-        half = Decimal(1) / (2 * M**s)
-        val += half
-        der -= half * logm
-        # corrections c_j(s) M^(-s-2j+1), each exact rational rounded once,
-        # as one integer quotient
-        for j in range(1, _EM_ORDER + 1):
-            c = _em_coeff(s, j)
-            term = CONTEXT.divide(c.numerator, c.denominator * M ** (s + 2 * j - 1))
-            val += term
-            der += term * (from_fraction(_em_coeff_logsum(s, j)) - logm)
-    j = _EM_ORDER + 1
-    tail = abs(float(_em_coeff(s, j) / M ** (s + 2 * j - 1)))
-    return SeriesValue(value=val, derivative=der, tail_bound=tail)
+    return em_series(*ZETA, s)
 
 
-@lru_cache(maxsize=None)
 def l4_em(s: int) -> SeriesValue:
     """L(s, chi_4) and L'(s, chi_4) for integer s >= 1, chi_4 the
     quadratic character mod 4."""
-    if s < 1:
-        raise InvalidRangeError("l4_em needs s >= 1")
-    M = _EM_TERMS
-    a = 4 * M + 1
-    b = 4 * M + 3
-    loga = _ln(a)
-    logb = _ln(b)
-    with localcontext(CONTEXT):
-        val = der = Decimal(0)
-        for k in range(M):
-            ap = Decimal(1) / (4 * k + 1) ** s
-            bp = Decimal(1) / (4 * k + 3) ** s
-            val += ap - bp
-            der += _ln(4 * k + 3) * bp - _ln(4 * k + 1) * ap
-        if s == 1:
-            # [A^(1-s) - B^(1-s)] / (4(s-1)) -> (log B - log A)/4 as s -> 1,
-            # and its own s-derivative -> (log^2 A - log^2 B)/8
-            val += (logb - loga) / 4
-            der += (loga * loga - logb * logb) / 8
-        else:
-            a1s = Decimal(1) / a ** (s - 1)
-            b1s = Decimal(1) / b ** (s - 1)
-            piece = (a1s - b1s) / (4 * (s - 1))
-            val += piece
-            der += (logb * b1s - loga * a1s) / (4 * (s - 1)) - piece / (s - 1)
-        # half terms [A^-s - B^-s]/2
-        aps = Decimal(1) / a**s
-        bps = Decimal(1) / b**s
-        val += (aps - bps) / 2
-        der += (logb * bps - loga * aps) / 2
-        # corrections, with the 4^(2j-1) factor from absorbing 4^-s exactly
-        for j in range(1, _EM_ORDER + 1):
-            c = _em_coeff(s, j)
-            num, den = c.numerator * 4 ** (2 * j - 1), c.denominator
-            ta = CONTEXT.divide(num, den * a ** (s + 2 * j - 1))
-            tb = CONTEXT.divide(num, den * b ** (s + 2 * j - 1))
-            val += ta - tb
-            hj = from_fraction(_em_coeff_logsum(s, j))
-            der += ta * (hj - loga) - tb * (hj - logb)
-    j = _EM_ORDER + 1
-    tail = 2.0 * abs(float(_em_coeff(s, j) * 4 ** (2 * j - 1) / a ** (s + 2 * j - 1)))
-    return SeriesValue(value=val, derivative=der, tail_bound=tail)
+    return em_series(*L4, s)
+
+
+def neg_log_deriv(q: int, residues: tuple, s: int) -> tuple[Decimal, float]:
+    """-F'/F of the series (q, residues) at s, with the EM truncation envelope."""
+    sv = em_series(q, residues, s)
+    return CONTEXT.divide(sv.derivative, sv.value).copy_negate(), sv.tail_bound
 
 
 def neg_log_deriv_zeta(s: int) -> tuple[Decimal, float]:
     """-zeta'/zeta at integer s >= 2, with the EM truncation envelope."""
-    sv = zeta_em(s)
-    return CONTEXT.divide(sv.derivative, sv.value).copy_negate(), sv.tail_bound
+    return neg_log_deriv(*ZETA, s)
 
 
 def neg_log_deriv_l4(s: int) -> tuple[Decimal, float]:
     """-L'/L at integer s >= 1 for the quadratic character mod 4."""
-    sv = l4_em(s)
-    return CONTEXT.divide(sv.derivative, sv.value).copy_negate(), sv.tail_bound
+    return neg_log_deriv(*L4, s)

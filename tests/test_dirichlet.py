@@ -1,13 +1,14 @@
 """Euler-Maclaurin zeta and L(s, chi_4) values against mpmath at 50 digits."""
 
 import hashlib
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 
 from quadlcm.dirichlet import (
-    _em_coeff_logsum,
+    _rising_factorials,
     l4_em,
     neg_log_deriv_l4,
     neg_log_deriv_zeta,
@@ -98,11 +99,13 @@ def test_neg_log_derivatives():
 
 
 def test_em_coeff_logsum_equals_direct_sum():
-    # h_j(s) = sum of 1/(s+i) for i < 2j-1, at every (s, j) the series use
+    # (s)_{2j-1} and h_j(s) = sum of 1/(s+i) for i < 2j-1, at every (s, j)
+    # the series use
     for s in range(1, 65):
-        for j in range(1, 22):
+        for j, (rise, dr) in zip(range(1, 22), _rising_factorials(s)):
+            assert rise == math.prod(range(s, s + 2 * j - 1))
             want = sum((Fraction(1, s + i) for i in range(2 * j - 1)), Fraction(0))
-            assert _em_coeff_logsum(s, j) == want
+            assert Fraction(dr, rise) == want
 
 
 # sha256 of the reprs of zeta_em(2..64) and l4_em(1..64), one per line:
