@@ -12,7 +12,8 @@ in sign by Chebyshev's bias and oscillating in size, so it can never deliver
 many digits) and an accelerated route expanding 1/(p−1) into the
 geometric series Σ_{k≥1} p^(−k), which turns S into Σ_{k≥1} P_quad(k)
 with P_quad(k) = Σ_p chi(p) log p · p^(−k).  Each P is recovered top-down
-from logarithmic derivatives of zeta and L(·, chi) via the von Mangoldt
+from the logarithmic derivative of zeta, of lambda(s) = (1 − 2^(−s)) zeta(s)
+(the principal character mod 4) or of L(·, chi) via the von Mangoldt
 identity, with all arguments above 64 dropped and replaced by a rigorous
 majorant-tail bound.  Everything high-precision runs in the 40-digit
 decimal CONTEXT; every sum at prime scale is one correctly rounded fsum.
@@ -28,8 +29,10 @@ from itertools import tee
 from operator import mul, truediv
 from typing import Iterator
 
-from .errors import DivergentSeriesError, InvalidRangeError
-from .dirichlet import neg_log_deriv_l4, neg_log_deriv_zeta
+from .errors import InvalidRangeError
+from .dirichlet import L4, LAMBDA, ZETA, neg_log_deriv
+# unused here, but kept bound: the benchmark probe times the series by them
+from .dirichlet import neg_log_deriv_l4, neg_log_deriv_zeta  # noqa: F401
 from .orders import log_lcm_exact
 from .primes import iter_primes, iter_primes_one_mod_four
 from .summation import CONTEXT, GAMMA, LN2
@@ -44,15 +47,19 @@ HALF_LOG2 = 0.5 * math.log(2.0)
 # shrinks like 2^(−s) and is accounted for in tail_bound.
 _ARGUMENT_CUTOFF = 64
 
+# Work ceilings of compute_B.  Past depth 83 the next term's majorant is
+# below 1e-40, under the 40-digit resolution of S: value_lo has not moved
+# since depth 71, and tail_bound (1.59e-30) moves by less than 1e-40 per
+# step.  The naive sum costs about 0.06 us per unit of p_max (one
+# segmented sieve pass, flat memory), so 10^8 takes about 6 s.
+MAX_DEPTH = 83
+MAX_P_MAX = 10**8
+
 
 @dataclass(frozen=True)
 class PowerSumValue:
     """P_char(s) = Σ_p char(p) log p · p^(−s): its 40-digit value split
-    as hi = float(x), lo = float(x − hi).  The principal character is
-    P_trivial(s) − ln 2·2^−s, which cancels leading digits at s ≥ 39: x then
-    has fewer than 40 correct digits (about 32 at s = 39), so lo can differ
-    from its 60-digit value.  hi and tail_bound are converged, and B is
-    unaffected (test_b_is_converged_at_the_working_precision)."""
+    as hi = float(x), lo = float(x − hi)."""
 
     s: int
     char: str
@@ -167,49 +174,34 @@ def _dropped_args_bound(first_arg: int, step: int, odd_only: bool) -> float:
     return _mangoldt_majorant(first_arg, odd_only) / (1.0 - ratio)
 
 
+# Each character as (the series F with -F'/F(s) = sum over m >= 1 of
+# P_{char^m}(ms), the character of char^2); char^m is char for odd m.  The
+# principal character's series runs over odd integers, never touching p = 2.
+_ROWS = {
+    CHAR_TRIVIAL: (ZETA, CHAR_TRIVIAL),
+    CHAR_PRINCIPAL: (LAMBDA, CHAR_PRINCIPAL),
+    CHAR_QUADRATIC: (L4, CHAR_PRINCIPAL),
+}
+
+
 @lru_cache(maxsize=None)
 def _power_sum(char: str, s: int) -> tuple[Decimal, float]:
-    """(value, tail_bound) for P_char(s) by the top-down recursion."""
-    if char == CHAR_TRIVIAL:
-        if s < 2:
-            raise DivergentSeriesError(
-                "Σ log p/p^s diverges at s = 1 for the trivial character"
-            )
-        val, bound = neg_log_deriv_zeta(s)
-        m = 2
-        while m * s <= _ARGUMENT_CUTOFF:
-            sub, sub_bound = _power_sum(CHAR_TRIVIAL, m * s)
-            val = CONTEXT.subtract(val, sub)
-            bound += sub_bound
-            m += 1
-        bound += _dropped_args_bound(m * s, s, odd_only=False)
-        return val, bound
-    if char == CHAR_PRINCIPAL:
-        if s < 2:
-            raise DivergentSeriesError(
-                "Σ log p/p^s over odd p diverges at s = 1"
-            )
-        val, bound = _power_sum(CHAR_TRIVIAL, s)
-        return CONTEXT.subtract(val, CONTEXT.divide(LN2, 2**s)), bound
-    if char == CHAR_QUADRATIC:
-        if s < 1:
-            raise InvalidRangeError("quadratic-character power sum needs s >= 1")
-        val, bound = neg_log_deriv_l4(s)
-        m = 2
-        while m * s <= _ARGUMENT_CUTOFF:
-            # chi^m is chi again for odd m and the principal character for
-            # even m, so the von Mangoldt expansion alternates the two
-            sub_char = CHAR_QUADRATIC if m % 2 else CHAR_PRINCIPAL
-            sub, sub_bound = _power_sum(sub_char, m * s)
-            val = CONTEXT.subtract(val, sub)
-            bound += sub_bound
-            m += 1
-        bound += _dropped_args_bound(m * s, s, odd_only=True)
-        return val, bound
-    raise InvalidRangeError(
-        f"unknown character {char!r}; expected one of "
-        f"{CHAR_TRIVIAL!r}, {CHAR_PRINCIPAL!r}, {CHAR_QUADRATIC!r}"
-    )
+    """(value, tail_bound) for P_char(s) by the top-down recursion
+    P_char(s) = -F'/F(s) − sum over m ≥ 2 of P_{char^m}(ms)."""
+    if char not in _ROWS:
+        raise InvalidRangeError(
+            f"unknown character {char!r}; expected one of {', '.join(map(repr, _ROWS))}"
+        )
+    (q, residues), square = _ROWS[char]
+    val, bound = neg_log_deriv(q, residues, s)
+    m = 2
+    while m * s <= _ARGUMENT_CUTOFF:
+        sub, sub_bound = _power_sum(char if m % 2 else square, m * s)
+        val = CONTEXT.subtract(val, sub)
+        bound += sub_bound
+        m += 1
+    bound += _dropped_args_bound(m * s, s, odd_only=q > 1)
+    return val, bound
 
 
 def _split(x: Decimal) -> tuple[float, float]:
@@ -220,8 +212,7 @@ def _split(x: Decimal) -> tuple[float, float]:
 
 
 def prime_log_power_sum(s: int, char: str = CHAR_TRIVIAL) -> PowerSumValue:
-    """Σ_p char(p) log p · p^(−s); s ≥ 2 unless the character is quadratic.
-    The principal character's lo loses digits at s ≥ 39 (see PowerSumValue)."""
+    """Σ_p char(p) log p · p^(−s); s ≥ 2 unless the character is quadratic."""
     val, bound = _power_sum(char, s)
     hi, lo = _split(val)
     return PowerSumValue(s=s, char=char, hi=hi, lo=lo, tail_bound=bound)
@@ -271,16 +262,17 @@ def compute_B(
     naive mode truncates the defining character sum at p_max (tail_bound
     3/log p_max is a loose envelope; the observed error is about
     p_max^(−1/2) and biased in sign); the accelerated mode sums
-    P_quad(1..depth) with rigorous majorant tails, within 1.3e-19 (its
-    tail_bound) by depth 48.
+    P_quad(1..depth) with rigorous majorant tails, within 7.4e-24 (its
+    tail_bound) by depth 48.  Either refuses, before any work, a depth
+    or p_max past its ceiling MAX_DEPTH or MAX_P_MAX.
     """
     if mode == "accelerated":
-        if depth < 16:
-            raise InvalidRangeError("accelerated mode needs depth >= 16")
+        if not 16 <= depth <= MAX_DEPTH:
+            raise InvalidRangeError(f"accelerated mode needs 16 <= depth <= {MAX_DEPTH}")
         return _accelerated_b(depth)
     if mode == "naive":
-        if p_max < 10**3:
-            raise InvalidRangeError("naive mode needs p_max >= 10^3")
+        if not 10**3 <= p_max <= MAX_P_MAX:
+            raise InvalidRangeError(f"naive mode needs 1000 <= p_max <= {MAX_P_MAX}")
         s = Decimal.from_float(character_log_sum(p_max))
         return _evaluation("naive", s, 3.0 / math.log(p_max), p_max=p_max)
     raise InvalidRangeError(f"unknown mode {mode!r}; use 'naive' or 'accelerated'")

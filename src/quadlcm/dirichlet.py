@@ -1,26 +1,22 @@
-"""Zeta, odd-zeta and mod-4 L-series values and s-derivatives at integer
-arguments, by one Euler-Maclaurin routine.
+"""Zeta, odd-integer zeta and mod-4 L-series values and s-derivatives at
+integer s, by one Euler-Maclaurin routine.
 
-A series is (q, residues): the sum of sign · x^-s over x > 0 with
-x ≡ r mod q, for each (r, sign) in residues.  ZETA, LAMBDA (odd x only,
-lambda(s) = (1 − 2^-s) zeta(s)) and L4 (L(s, chi_4)) are the three the
-prime power sums use.  `em_series` evaluates any of them in the 40-digit
-decimal CONTEXT: a main sum over x < qM, the integral and half-term
-boundary pieces at each residue's first x ≥ qM, and correction terms
-c_j(s) q^(2j−1) a^(−s−2j+1) with c_j(s) = B_2j/(2j)! (s)_{2j−1}.  Every
-coefficient is an exact integer ratio at integer s, and each power of an
-integer is exact, so every term is rounded once; the only other roundings
-are the logarithms of integers and the sums.
+A series is (q, residues): the sum of sign · x^-s over x > 0, x ≡ r mod q,
+for each (r, sign) in residues.  ZETA, LAMBDA (odd x, so lambda(s) =
+(1 − 2^-s) zeta(s)) and L4 (L(s, chi_4)) are the three the prime power
+sums use.  `em_series` evaluates one in the 40-digit decimal CONTEXT: a
+main sum over x < qM, then the integral piece, the half term and the
+corrections c_j(s) q^(2j−1) a^(−s−2j+1), c_j(s) = B_2j/(2j)! (s)_{2j−1},
+at each residue's first x = a ≥ qM.  Every coefficient is an exact integer
+ratio and every power of an integer is exact, so each term is rounded
+once; the only other roundings are the logarithms of integers and the sums.
 
-The residues are summed in paired-difference form, term by term,
-
-    L(s) = sum_k [(4k+1)^-s - (4k+3)^-s] + tail differences,
-
-never as 4^-s [zeta(s,1/4) - zeta(s,3/4)]: at s = 64 the Hurwitz values
-are ~4^64 while L is ~1, and that subtraction would burn 38 of the 40
-digits.  In paired form each difference cancels at most a few bits.  When
-the signs sum to 0 the series has no pole, and s = 1 (conditionally
-convergent; pi/4 for L4) takes the exact limit of the integral piece.
+The residues are summed term by term, L(s) = sum_k [(4k+1)^-s − (4k+3)^-s]
++ tail differences, never as 4^-s [zeta(s,1/4) − zeta(s,3/4)]: at s = 64
+the Hurwitz values are ~4^64 while L is ~1, and that subtraction would burn
+38 of the 40 digits.  When the signs sum to 0 there is no pole, and s = 1
+(conditionally convergent; pi/4 for L4) takes the exact limit of the
+integral piece.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import mul
 
 from .errors import DivergentSeriesError, InvalidRangeError
@@ -56,21 +52,14 @@ class SeriesValue:
 
 
 @lru_cache(maxsize=None)
-def _scaled_weight(n: int) -> Fraction:
-    """u_n = 4^n B_2n/(2n)!, from (x/2) coth(x/2) = sum of B_2n x^2n/(2n)!:
-    multiplied by sinh(x/2) it is (x/2) cosh(x/2), so sum over j <= n of
-    u_j/(2n-2j+1)! equals 1/(2n)!."""
+def _weight(n: int) -> Fraction:
+    """B_2n/(2n)!, from (x/2) coth(x/2) = sum of B_2n x^2n/(2n)!: times
+    sinh(x/2) it is (x/2) cosh(x/2), so sum over j <= n of
+    4^j B_2j/(2j)!/(2n-2j+1)! equals 1/(2n)!."""
     acc = Fraction(1, math.factorial(2 * n))
     for j in range(n):
-        acc -= _scaled_weight(j) / math.factorial(2 * (n - j) + 1)
-    return acc
-
-
-@lru_cache(maxsize=None)
-def _weight(j: int) -> tuple[int, int]:
-    """B_2j/(2j)! as a (numerator, denominator) pair."""
-    u = _scaled_weight(j)
-    return u.numerator, u.denominator * 4**j
+        acc -= _weight(j) * 4**j / math.factorial(2 * (n - j) + 1)
+    return acc / 4**n
 
 
 def _rising_factorials(s: int):
@@ -132,27 +121,18 @@ def em_series(q: int, residues: tuple, s: int) -> SeriesValue:
         # and their s-derivatives through h_j(s) = d/ds log (s)_{2j-1}
         rising = _rising_factorials(s)
         for j, (rise, dr) in zip(range(1, _EM_ORDER + 1), rising):
-            num, den = _weight(j)
-            num *= rise * q ** (2 * j - 1)
+            w = _weight(j)
+            num, den = w.numerator * rise * q ** (2 * j - 1), w.denominator
             terms = [CONTEXT.divide(num, den * a ** (s + 2 * j - 1)) for a in tails]
             val += signed(terms)
             hj = CONTEXT.divide(dr, rise)
             der += signed(t * (hj - lg) for t, lg in zip(terms, logs))
     j = _EM_ORDER + 1
-    (num, den), (rise, _) = _weight(j), next(rising)
-    first = abs(num) * rise * q ** (2 * j - 1) / (den * min(tails) ** (s + 2 * j - 1))
+    w, (rise, _) = _weight(j), next(rising)
+    first = abs(w.numerator) * rise * q ** (2 * j - 1) / (
+        w.denominator * min(tails) ** (s + 2 * j - 1)
+    )
     return SeriesValue(value=val, derivative=der, tail_bound=len(tails) * first)
-
-
-def zeta_em(s: int) -> SeriesValue:
-    """zeta(s) and zeta'(s) for integer s >= 2."""
-    return em_series(*ZETA, s)
-
-
-def l4_em(s: int) -> SeriesValue:
-    """L(s, chi_4) and L'(s, chi_4) for integer s >= 1, chi_4 the
-    quadratic character mod 4."""
-    return em_series(*L4, s)
 
 
 def neg_log_deriv(q: int, residues: tuple, s: int) -> tuple[Decimal, float]:
@@ -161,11 +141,9 @@ def neg_log_deriv(q: int, residues: tuple, s: int) -> tuple[Decimal, float]:
     return CONTEXT.divide(sv.derivative, sv.value).copy_negate(), sv.tail_bound
 
 
-def neg_log_deriv_zeta(s: int) -> tuple[Decimal, float]:
-    """-zeta'/zeta at integer s >= 2, with the EM truncation envelope."""
-    return neg_log_deriv(*ZETA, s)
-
-
-def neg_log_deriv_l4(s: int) -> tuple[Decimal, float]:
-    """-L'/L at integer s >= 1 for the quadratic character mod 4."""
-    return neg_log_deriv(*L4, s)
+# zeta(s) for s >= 2 and L(s, chi_4) for s >= 1, chi_4 the quadratic
+# character mod 4: values, s-derivatives and their -F'/F
+zeta_em = partial(em_series, *ZETA)
+l4_em = partial(em_series, *L4)
+neg_log_deriv_zeta = partial(neg_log_deriv, *ZETA)
+neg_log_deriv_l4 = partial(neg_log_deriv, *L4)

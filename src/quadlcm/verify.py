@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from . import asymptotics, discrepancy, orders, primes, roots
-from .dirichlet import neg_log_deriv_zeta
+from .dirichlet import LAMBDA, em_series, neg_log_deriv_zeta, zeta_em
 from .errors import EmptySampleError, NotOneModFourError
 from .summation import GAMMA, geometric, log_of_bigint
 
@@ -512,6 +512,11 @@ def check_constant_b(p: VerifyParams) -> str:
     bound += asymptotics._dropped_args_bound(2 * m, 2, odd_only=False)
     gap = abs(float(total - Fraction(base)))
     _require(gap <= bound + 1e-28, "log-derivative identity")
+    # the odd-integer series behind the principal character is (1 − 2^-s) zeta(s)
+    for s in (2, 3, 16, 64):
+        lam = Fraction(em_series(*LAMBDA, s).value)
+        want = Fraction(zeta_em(s).value) * (1 - Fraction(1, 2**s))
+        _require(abs(lam - want) <= lam / 10**38, f"lambda({s}) = (1 - 2^-s) zeta({s})")
     # direct-summation cross-check of the trivial power sum at s=2
     x = 10**5 if p.oracle_cap <= 200 else 10**6
     direct = math.fsum(math.log(q) / (q * q) for q in primes.iter_primes(0, x))

@@ -14,6 +14,8 @@ from quadlcm.asymptotics import (
     CHAR_QUADRATIC,
     CHAR_TRIVIAL,
     HALF_LOG2,
+    MAX_DEPTH,
+    MAX_P_MAX,
     character_log_sum,
     compute_B,
     mertens_log_sum,
@@ -42,22 +44,34 @@ def mpmath_b():
     (each |G| there is below 3^-100) and so is the S tail k >= 70 (below
     3^-69); both sit far under the 1e-25 the tests resolve."""
     with mpmath.workdps(50):
-
-        @functools.lru_cache(maxsize=None)
-        def g(char, t):
-            chi = _MP_CHARS[char]
-            return -mpmath.dirichlet(t, chi, derivative=1) / mpmath.dirichlet(t, chi)
-
-        def p_quad(k):
-            return mpmath.fsum(
-                sympy.mobius(m) * g(CHAR_QUADRATIC if m % 2 else CHAR_PRINCIPAL, m * k)
-                for m in range(1, 100 // k + 1)
-                if sympy.mobius(m)
-            )
-
-        s = mpmath.fsum(p_quad(k) for k in range(1, 70))
+        s = mpmath.fsum(_mp_power_sum(CHAR_QUADRATIC, k) for k in range(1, 70))
         b = mpmath.euler - 1 - mpmath.log(2) / 2 - s
         return Fraction(mpmath.nstr(s, 45)), Fraction(mpmath.nstr(b, 45))
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_neg_log_deriv(char, t):
+    chi = _MP_CHARS[char]
+    return -mpmath.dirichlet(t, chi, derivative=1) / mpmath.dirichlet(t, chi)
+
+
+def _mp_power_sum(char, k):
+    """P_char(k) from the -L'/L at arguments mk <= 100, in the caller's
+    mpmath precision."""
+    return mpmath.fsum(
+        sympy.mobius(m)
+        * _mp_neg_log_deriv(
+            CHAR_QUADRATIC if char == CHAR_QUADRATIC and m % 2 else CHAR_PRINCIPAL, m * k
+        )
+        for m in range(1, 100 // k + 1)
+        if sympy.mobius(m)
+    )
+
+
+def mpmath_power_sum(char, k):
+    """P_char(k) at 50 digits for the principal or quadratic character."""
+    with mpmath.workdps(50):
+        return Fraction(mpmath.nstr(_mp_power_sum(char, k), 45))
 
 
 def test_mertens_hand_values():
@@ -130,6 +144,16 @@ def test_reference_constants_match_the_mpmath_oracle():
     assert abs(b - B_REF) < Fraction(1, 10**29)
 
 
+def test_character_power_sums_are_within_their_tail_bound_of_the_mpmath_oracle():
+    # the oracle resolves about 1e-48 absolute, so 1e-40 covers it
+    for char, low in ((CHAR_PRINCIPAL, 2), (CHAR_QUADRATIC, 1)):
+        for s in range(low, 65):
+            ps = prime_log_power_sum(s, char)
+            want = mpmath_power_sum(char, s)
+            err = abs(Fraction(ps.hi) + Fraction(ps.lo) - want)
+            assert err <= Fraction(ps.tail_bound) + Fraction(1, 10**40), (char, s)
+
+
 @pytest.mark.parametrize("depth", [16, 48])
 def test_compute_b_is_within_its_tail_bound_of_the_mpmath_oracle(depth):
     ev = compute_B("accelerated", depth=depth)
@@ -159,16 +183,16 @@ COMPUTE_B_PINS = {
     48: (
         -0.0662756342130606,
         -0.06627563421306071,
-        1.4925360785445992e-18,
+        1.4773579163577067e-18,
         -0.7030822911653791,
-        1.27445393952673e-19,
+        7.32499688192182e-24,
     ),
     16: (
         -0.06627564697113009,
         -0.06627564697113013,
-        6.891873921440875e-18,
+        6.879200798184172e-18,
         -0.7030822784073096,
-        1.5289443797637176e-08,
+        1.5289443797512242e-08,
     ),
 }
 
@@ -262,6 +286,19 @@ def test_compute_b_accelerated_is_pinned(depth):
     )
 
 
+def test_depth_ceiling_is_where_the_next_term_drops_below_the_resolution():
+    # P_quad(k) is at most the odd majorant at k; past MAX_DEPTH it is below
+    # 1e-40.  value_lo stopped moving well before, and tail_bound moves by
+    # less than a billionth of itself
+    assert asymptotics._mangoldt_majorant(MAX_DEPTH, True) >= 1e-40
+    assert asymptotics._mangoldt_majorant(MAX_DEPTH + 1, True) < 1e-40
+    top = compute_B("accelerated", depth=MAX_DEPTH)
+    for depth in (72, 80):
+        ev = compute_B("accelerated", depth=depth)
+        assert ev.value_lo == top.value_lo
+    assert top.tail_bound == pytest.approx(ev.tail_bound, rel=1e-9)
+
+
 def test_compute_b_naive_mode():
     ev = compute_B("naive", p_max=10**5)
     assert ev.mode == "naive"
@@ -276,7 +313,11 @@ def test_compute_b_validation():
     with pytest.raises(InvalidRangeError):
         compute_B("accelerated", depth=8)
     with pytest.raises(InvalidRangeError):
+        compute_B("accelerated", depth=MAX_DEPTH + 1)
+    with pytest.raises(InvalidRangeError):
         compute_B("naive", p_max=100)
+    with pytest.raises(InvalidRangeError):
+        compute_B("naive", p_max=MAX_P_MAX + 1)
     with pytest.raises(InvalidRangeError):
         compute_B("fast")
 

@@ -163,6 +163,28 @@ def test_constant_b_json(tmp_path, capsys):
     assert -0.0662756392 <= obj["value"] <= -0.0662756292
 
 
+def test_constant_b_refuses_past_its_ceilings_at_once():
+    # a separate process, so work started before the refusal fails on the timeout
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlcm", "constant-b", "--depth", "100000"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: accelerated mode needs 16 <= depth <= 83\n"
+
+
+def test_constant_b_help_states_its_ceilings(capsys):
+    from quadlcm.asymptotics import MAX_DEPTH, MAX_P_MAX
+
+    with pytest.raises(SystemExit):
+        cli.main(["constant-b", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"16 to {MAX_DEPTH};" in text
+    assert f"1000 to {MAX_P_MAX}," in text
+
+
 @pytest.mark.parametrize("p", [9, 1, 21, 4, 0, -3])
 def test_orders_rejects_non_prime_p(p):
     # a separate process, so a hang in the root search fails on the timeout
@@ -252,8 +274,8 @@ GOLDEN = [
      "1000,-0.684498565703,-0.703082291165,0.0185837254624\n",
      "025a52aed531c2d96c8993b0882494f0649d0cbf861a1be57e2701afa527a219", ["grid"]),
     (["constant-b", "--depth", "16"],
-     "mode=accelerated B=-0.0662756469711 tail_bound=1.52894437976e-08\n", None,
-     "003384eb5fd117fe88fefba04b65782f015d8ab559c122e37752b23d104b8c11",
+     "mode=accelerated B=-0.0662756469711 tail_bound=1.52894437975e-08\n", None,
+     "99a859223e6ce20cfa44fce5303c34749c2e74d230e8fdc68e8cd1fffa79904e",
      ["depth", "mode", "p_max"]),
     (["residuals", "--grid", "100:1000:10"], "",
      "n,log_L,main,r,r_normalized\n"

@@ -1,5 +1,6 @@
 """The decimal context of the closed forms, and the one summation rule."""
 
+import functools
 import math
 import os
 import subprocess
@@ -54,11 +55,13 @@ def test_dd_atan_small_high_precision(den):
     assert abs(got - ref) < ref * Fraction(1, 10**39)
 
 
+@functools.lru_cache(maxsize=None)
 def _closed_forms(setup):
     """The printed reprs of the closed forms, computed in a fresh
     interpreter (the lru_caches would otherwise return earlier values)
     after running setup, and whether the caller's decimal context kept
-    every setting and flag."""
+    every setting and flag.  The lines after the first seven are the
+    (hi, lo) of every prime power sum at s <= 64."""
     script = (
         "import dataclasses\n"
         "from decimal import ROUND_FLOOR, getcontext\n"
@@ -72,6 +75,12 @@ def _closed_forms(setup):
         "print(asymptotics.prime_log_power_sum(3, asymptotics.CHAR_QUADRATIC))\n"
         "print(dirichlet.zeta_em(2))\n"
         "print(dirichlet.l4_em(1))\n"
+        "for char, low in ((asymptotics.CHAR_TRIVIAL, 2),\n"
+        "                  (asymptotics.CHAR_PRINCIPAL, 2),\n"
+        "                  (asymptotics.CHAR_QUADRATIC, 1)):\n"
+        "    for s in range(low, 65):\n"
+        "        ps = asymptotics.prime_log_power_sum(s, char)\n"
+        "        print(char, s, ps.hi, ps.lo)\n"
         "print(repr(getcontext()) == before)\n"
     )
     src = os.path.dirname(os.path.dirname(quadlcm.__file__))
@@ -81,7 +90,7 @@ def _closed_forms(setup):
         capture_output=True, text=True, timeout=300, env=env, check=True,
     )
     *lines, kept = proc.stdout.splitlines()
-    return lines, kept == "True"
+    return tuple(lines), kept == "True"
 
 
 def test_caller_decimal_context_changes_no_bit():
@@ -98,6 +107,15 @@ def test_b_is_converged_at_the_working_precision():
     default, _ = _closed_forms("")
     wide, _ = _closed_forms("summation.CONTEXT.prec = 60")
     assert wide[:3] == default[:3]
+
+
+def test_power_sums_are_converged_at_the_working_precision():
+    # every prime power sum of the three characters at s <= 64: (hi, lo)
+    # at 60 digits equals the 40-digit run
+    default, _ = _closed_forms("")
+    wide, _ = _closed_forms("summation.CONTEXT.prec = 60")
+    assert len(default) == 7 + 63 + 63 + 64
+    assert [w for w, d in zip(wide[7:], default[7:]) if w != d] == []
 
 
 def test_log_of_bigint_matches_math_log_in_range():
