@@ -59,12 +59,9 @@ def _mp_power_sum(char, k):
     """P_char(k) from the -L'/L at arguments mk <= 100, in the caller's
     mpmath precision."""
     return mpmath.fsum(
-        sympy.mobius(m)
-        * _mp_neg_log_deriv(
-            CHAR_QUADRATIC if char == CHAR_QUADRATIC and m % 2 else CHAR_PRINCIPAL, m * k
-        )
+        mu * _mp_neg_log_deriv(char if m % 2 else CHAR_PRINCIPAL, m * k)
         for m in range(1, 100 // k + 1)
-        if sympy.mobius(m)
+        if (mu := sympy.mobius(m))
     )
 
 
