@@ -15,8 +15,9 @@ with P_quad(k) = Σ_p chi(p) log p · p^(−k).  Each P is recovered top-down
 from the logarithmic derivative of zeta, of lambda(s) = (1 − 2^(−s)) zeta(s)
 (the principal character mod 4) or of L(·, chi) via the von Mangoldt
 identity, with all arguments above 64 dropped and replaced by a rigorous
-majorant-tail bound.  Everything high-precision runs in the 40-digit
-decimal CONTEXT; every sum at prime scale is one correctly rounded fsum.
+majorant-tail bound; S sums P_quad(k) over the same k ≤ 64.  Everything
+high-precision runs in the 40-digit decimal CONTEXT; every sum at prime
+scale is one correctly rounded fsum.
 """
 
 from __future__ import annotations
@@ -44,15 +45,16 @@ CHAR_QUADRATIC = "quadratic-mod-4"
 HALF_LOG2 = 0.5 * math.log(2.0)
 
 # Arguments above this are dropped from the recursion; the dropped mass
-# shrinks like 2^(−s) and is accounted for in tail_bound.
+# shrinks like 2^(−s) and is accounted for in tail_bound.  It is also the
+# depth of S.  Unrolled, the recursion is Moebius inversion over the
+# multiples of k up to the cutoff, so each P_quad(k) keeps the prime powers
+# p^(−t), t > 64, that the dropped arguments carry; summed over k ≤ 64 they
+# are S's own tail Σ_{k>64} P_quad(k), each once (the first exception is
+# p^(−128) at p ≡ 3 mod 4).  A deeper S would count those powers twice.
 _ARGUMENT_CUTOFF = 64
 
-# Work ceilings of compute_B.  Past depth 83 the next term's majorant is
-# below 1e-40, under the 40-digit resolution of S: value_lo has not moved
-# since depth 71, and tail_bound (1.59e-30) moves by less than 1e-40 per
-# step.  The naive sum costs about 0.06 us per unit of p_max (one
+# Work ceiling of naive compute_B: about 0.06 us per unit of p_max (one
 # segmented sieve pass, flat memory), so 10^8 takes about 6 s.
-MAX_DEPTH = 83
 MAX_P_MAX = 10**8
 
 
@@ -74,7 +76,7 @@ class PowerSumValue:
 
 @dataclass(frozen=True)
 class ConstantEvaluation:
-    """One evaluation of B and the settings that produced it.
+    """One evaluation of B, and the p_max of a naive one.
 
     value is the plain-double recombination gamma − 1 − (log 2)/2 − S
     from the stored fields (so the recombination identity holds exactly);
@@ -91,7 +93,6 @@ class ConstantEvaluation:
     tail_bound: float
     gamma_used: float
     p_max: int | None = None
-    depth: int | None = None
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def _recombine(gamma_used: float, s_value: float) -> float:
 
 
 def _evaluation(
-    mode: str, s: Decimal, tail_bound: float, **settings
+    mode: str, s: Decimal, tail_bound: float, p_max: int | None = None
 ) -> ConstantEvaluation:
     """B = gamma − 1 − (log 2)/2 − S from the 40-digit S, and its doubles."""
     with localcontext(CONTEXT):
@@ -239,37 +240,35 @@ def _evaluation(
         s_value=s_value,
         tail_bound=tail_bound,
         gamma_used=gamma_used,
-        **settings,
+        p_max=p_max,
     )
 
 
 @lru_cache(maxsize=None)
 def _accelerated_b(depth: int) -> ConstantEvaluation:
+    """B from S = Σ P_quad(1..depth); compute_B takes the depth at the
+    recursion's cutoff, and verify checks that depth 16 nests inside it."""
     terms = [_power_sum(CHAR_QUADRATIC, k) for k in range(1, depth + 1)]
     with localcontext(CONTEXT):
         s = sum(val for val, _ in terms)
     # |P_quad(k)| ≤ odd majorant(k); geometric from depth+1 on
     bound = sum(b for _, b in terms)
     bound += _dropped_args_bound(depth + 1, 1, odd_only=True)
-    return _evaluation("accelerated", s, bound, depth=depth)
+    return _evaluation("accelerated", s, bound)
 
 
-def compute_B(
-    mode: str = "accelerated", *, p_max: int = 10**6, depth: int = 48
-) -> ConstantEvaluation:
+def compute_B(mode: str = "accelerated", *, p_max: int = 10**6) -> ConstantEvaluation:
     """Evaluate B = gamma − 1 − (log 2)/2 − S.
 
     naive mode truncates the defining character sum at p_max (tail_bound
     3/log p_max is a loose envelope; the observed error is about
-    p_max^(−1/2) and biased in sign); the accelerated mode sums
-    P_quad(1..depth) with rigorous majorant tails, within 7.4e-24 (its
-    tail_bound) by depth 48.  Either refuses, before any work, a depth
-    or p_max past its ceiling MAX_DEPTH or MAX_P_MAX.
+    p_max^(−1/2) and biased in sign) and refuses, before any work, a p_max
+    past its ceiling MAX_P_MAX; the accelerated mode sums P_quad(k) over
+    the arguments k ≤ 64 that the recursion keeps, with rigorous majorant
+    tails, within 1.8e-30 (its tail_bound).
     """
     if mode == "accelerated":
-        if not 16 <= depth <= MAX_DEPTH:
-            raise InvalidRangeError(f"accelerated mode needs 16 <= depth <= {MAX_DEPTH}")
-        return _accelerated_b(depth)
+        return _accelerated_b(_ARGUMENT_CUTOFF)
     if mode == "naive":
         if not 10**3 <= p_max <= MAX_P_MAX:
             raise InvalidRangeError(f"naive mode needs 1000 <= p_max <= {MAX_P_MAX}")

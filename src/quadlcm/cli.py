@@ -263,7 +263,7 @@ def cmd_charsum(asymptotics, args):
 
 
 def cmd_constant_b(asymptotics, args):
-    ev = asymptotics.compute_B(args.mode, p_max=args.p_max, depth=args.depth)
+    ev = asymptotics.compute_B(args.mode, p_max=args.p_max)
     line = (
         f"mode={ev.mode} B={format_value(ev.value)} "
         f"tail_bound={format_value(ev.tail_bound)}"
@@ -283,7 +283,7 @@ def cmd_verify(args) -> int:
 
     results = run_verify(args.level)
     for r in results:
-        print(("PASS" if r.ok else "FAIL"), r.name, "::", r.detail)
+        print(("PASS" if r.ok else "FAIL"), r.name, "::", r.detail, f"({r.seconds:.2f} s)")
     failures = [r for r in results if not r.ok]
     if failures:
         print(f"first failing property: {failures[0].name}", file=sys.stderr)
@@ -333,9 +333,7 @@ COMMANDS = [
     Command("constant-b", "asymptotics", cmd_constant_b, "the linear-term constant B",
             [_flag("--mode", choices=("accelerated", "naive"), default="accelerated"),
              _flag("--p-max", dest="p_max", type=int, default=10**6,
-                   help="naive mode: 1000 to 100000000, about 0.06 µs per unit"),
-             _flag("--depth", type=int, default=48,
-                   help="accelerated mode: 16 to 83; past 83 the next term is below 1e-40")]),
+                   help="naive mode: 1000 to 100000000, about 0.06 µs per unit")]),
     Command("residuals", "asymptotics", cmd_residuals,
             "log L_n minus the n log n + B n main term",
             [_GRID, _flag("--theta", type=float, default=0.44), _WORKERS]),

@@ -21,15 +21,13 @@ integral piece.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from fractions import Fraction
 from functools import lru_cache, partial
 from operator import mul
 
 from .errors import DivergentSeriesError, InvalidRangeError
-from .summation import CONTEXT
+from .summation import CONTEXT, _weight
 
 # Main-sum length and correction order. At M=40 the first omitted
 # correction is ~1e-50 for every s >= 1, below the 40-digit resolution.
@@ -49,17 +47,6 @@ class SeriesValue:
     value: Decimal
     derivative: Decimal
     tail_bound: float
-
-
-@lru_cache(maxsize=None)
-def _weight(n: int) -> Fraction:
-    """B_2n/(2n)!, from (x/2) coth(x/2) = sum of B_2n x^2n/(2n)!: times
-    sinh(x/2) it is (x/2) cosh(x/2), so sum over j <= n of
-    4^j B_2j/(2j)!/(2n-2j+1)! equals 1/(2n)!."""
-    acc = Fraction(1, math.factorial(2 * n))
-    for j in range(n):
-        acc -= _weight(j) * 4**j / math.factorial(2 * (n - j) + 1)
-    return acc / 4**n
 
 
 def _rising_factorials(s: int):

@@ -48,6 +48,7 @@ from .summation import (
     CONTEXT,
     HALF_LOG_2PI,
     LOG_PI_OVER_SINH_PI,
+    _weight,
     from_fraction,
     log_of_bigint,
 )
@@ -59,16 +60,8 @@ ORACLE_CAP_DEFAULT = 5_000
 LOG_P_MAX_N = 2**511
 
 # Stirling's series for log Γ(z) is summed at Re z >= _STIRLING_MIN_Y, over
-# the coefficients B₂ₖ/(2k(2k−1)) from the Bernoulli numbers B₂ … B₂₀.
+# the coefficients B₂ₖ/(2k(2k−1)) = _weight(k) (2k−2)! for k ≤ 10.
 _STIRLING_MIN_Y = 24
-_STIRLING_COEFFS = tuple(
-    Fraction(num, den) / (2 * k * (2 * k - 1))
-    for k, (num, den) in enumerate(
-        ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
-         (-3617, 510), (43867, 798), (-174611, 330)),
-        1,
-    )
-)
 
 
 @dataclass(frozen=True)
@@ -229,7 +222,8 @@ def _stirling_tail(y: int) -> Fraction:
     step_re, step_im = y * y - 1, -2 * y  # (y − i)²
     re, im = y, -1  # (y − i)^(2k−1)
     total = Fraction(0)
-    for k, coeff in enumerate(_STIRLING_COEFFS, 1):
+    for k in range(1, 11):
+        coeff = _weight(k) * math.factorial(2 * k - 2)
         total += coeff * Fraction(re, q ** (2 * k - 1))
         re, im = re * step_re - im * step_im, re * step_im + im * step_re
     return total

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 # 40 digits is the least precision at which B's low word stops moving.
 CONTEXT = Context(prec=40, rounding=ROUND_HALF_EVEN)
@@ -27,6 +28,18 @@ GAMMA = Decimal("0.5772156649015328606065120900824024310422")
 HALF_LOG_2PI = Decimal("0.9189385332046727417803297364056176398614")
 LOG_PI_OVER_SINH_PI = Decimal("-1.301846398603712677770433663007895330131")
 LN2 = CONTEXT.ln(2)
+
+
+@lru_cache(maxsize=None)
+def _weight(n: int) -> Fraction:
+    """B_2n/(2n)!, from (x/2) coth(x/2) = sum of B_2n x^2n/(2n)!: times
+    sinh(x/2) it is (x/2) cosh(x/2), so sum over j <= n of
+    4^j B_2j/(2j)!/(2n-2j+1)! equals 1/(2n)!.  The one statement of the
+    Bernoulli numbers, for Euler-Maclaurin and Stirling's series."""
+    acc = Fraction(1, math.factorial(2 * n))
+    for j in range(n):
+        acc -= _weight(j) * 4**j / math.factorial(2 * (n - j) + 1)
+    return acc / 4**n
 
 
 def from_fraction(f: Fraction) -> Decimal:

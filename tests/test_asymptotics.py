@@ -14,7 +14,6 @@ from quadlcm.asymptotics import (
     CHAR_QUADRATIC,
     CHAR_TRIVIAL,
     HALF_LOG2,
-    MAX_DEPTH,
     MAX_P_MAX,
     character_log_sum,
     compute_B,
@@ -42,7 +41,8 @@ def mpmath_b():
     logarithmic derivatives G = -L'/L that mpmath evaluates, with chi^m
     the principal character for even m.  Arguments mk > 100 are dropped
     (each |G| there is below 3^-100) and so is the S tail k >= 70 (below
-    3^-69); both sit far under the 1e-25 the tests resolve."""
+    3^-69, about 7e-34 in fact); both sit under the 1e-32 the tests
+    resolve."""
     with mpmath.workdps(50):
         s = mpmath.fsum(_mp_power_sum(CHAR_QUADRATIC, k) for k in range(1, 70))
         b = mpmath.euler - 1 - mpmath.log(2) / 2 - s
@@ -128,11 +128,11 @@ def test_power_sum_domain_errors():
 def test_compute_b_accelerated_against_frozen_oracle():
     ev = compute_B("accelerated")
     got = Fraction(ev.value_hi) + Fraction(ev.value_lo)
-    assert abs(got - B_REF) <= Fraction(ev.tail_bound) + Fraction(1, 10**25)
+    assert abs(got - B_REF) <= Fraction(ev.tail_bound) + Fraction(1, 10**29)
     assert abs(Fraction(ev.s_value) - S_REF) < Fraction(1, 10**15)
     assert -0.0662756392 <= ev.value <= -0.0662756292
     assert ev.mode == "accelerated"
-    assert ev.depth == 48 and ev.p_max is None
+    assert ev.p_max is None
 
 
 def test_reference_constants_match_the_mpmath_oracle():
@@ -151,11 +151,20 @@ def test_character_power_sums_are_within_their_tail_bound_of_the_mpmath_oracle()
             assert err <= Fraction(ps.tail_bound) + Fraction(1, 10**40), (char, s)
 
 
-@pytest.mark.parametrize("depth", [16, 48])
+@pytest.mark.parametrize("depth", [16, 64])
 def test_compute_b_is_within_its_tail_bound_of_the_mpmath_oracle(depth):
-    ev = compute_B("accelerated", depth=depth)
+    ev = asymptotics._accelerated_b(depth)
     got = Fraction(ev.value_hi) + Fraction(ev.value_lo)
     assert abs(got - mpmath_b()[1]) <= Fraction(ev.tail_bound)
+
+
+def test_compute_b_is_within_1e_32_of_the_mpmath_oracle():
+    # S summed over the arguments the recursion keeps counts each prime
+    # power once; depth 48 was 6.9e-24 off, depths past 64 about 1e-31
+    ev = compute_B()
+    err = abs(Fraction(ev.value_hi) + Fraction(ev.value_lo) - mpmath_b()[1])
+    assert err <= Fraction(1, 10**32)
+    assert err <= Fraction(ev.tail_bound)
 
 
 def test_compute_b_recombination_is_reconstructible():
@@ -165,8 +174,8 @@ def test_compute_b_recombination_is_reconstructible():
 
 
 def test_compute_b_depth_nesting():
-    lo = compute_B("accelerated", depth=16)
-    hi = compute_B("accelerated", depth=48)
+    lo = asymptotics._accelerated_b(16)
+    hi = compute_B()
     gap = abs(
         (Fraction(lo.value_hi) + Fraction(lo.value_lo))
         - (Fraction(hi.value_hi) + Fraction(hi.value_lo))
@@ -175,14 +184,15 @@ def test_compute_b_depth_nesting():
     assert hi.tail_bound < lo.tail_bound
 
 
-# every accelerated field pinned with ==, at the default depth and the least
+# every accelerated field pinned with ==, at the recursion's cutoff (what
+# compute_B returns) and at depth 16 (what verify nests inside it)
 COMPUTE_B_PINS = {
-    48: (
+    64: (
         -0.0662756342130606,
         -0.06627563421306071,
-        1.4773579163577067e-18,
+        1.4773648027890228e-18,
         -0.7030822911653791,
-        7.32499688192182e-24,
+        1.7572031761606825e-30,
     ),
     16: (
         -0.06627564697113009,
@@ -272,34 +282,17 @@ def test_trivial_power_sums_are_pinned():
 
 @pytest.mark.parametrize("depth", sorted(COMPUTE_B_PINS))
 def test_compute_b_accelerated_is_pinned(depth):
-    ev = compute_B("accelerated", depth=depth)
+    ev = asymptotics._accelerated_b(depth)
     got = (ev.value, ev.value_hi, ev.value_lo, ev.s_value, ev.tail_bound)
     assert got == COMPUTE_B_PINS[depth]
-    assert (ev.mode, ev.gamma_used, ev.p_max, ev.depth) == (
-        "accelerated",
-        GAMMA,
-        None,
-        depth,
-    )
-
-
-def test_depth_ceiling_is_where_the_next_term_drops_below_the_resolution():
-    # P_quad(k) is at most the odd majorant at k; past MAX_DEPTH it is below
-    # 1e-40.  value_lo stopped moving well before, and tail_bound moves by
-    # less than a billionth of itself
-    assert asymptotics._mangoldt_majorant(MAX_DEPTH, True) >= 1e-40
-    assert asymptotics._mangoldt_majorant(MAX_DEPTH + 1, True) < 1e-40
-    top = compute_B("accelerated", depth=MAX_DEPTH)
-    for depth in (72, 80):
-        ev = compute_B("accelerated", depth=depth)
-        assert ev.value_lo == top.value_lo
-    assert top.tail_bound == pytest.approx(ev.tail_bound, rel=1e-9)
+    assert (ev.mode, ev.gamma_used, ev.p_max) == ("accelerated", GAMMA, None)
+    assert compute_B() == asymptotics._accelerated_b(asymptotics._ARGUMENT_CUTOFF)
 
 
 def test_compute_b_naive_mode():
     ev = compute_B("naive", p_max=10**5)
     assert ev.mode == "naive"
-    assert ev.p_max == 10**5 and ev.depth is None
+    assert ev.p_max == 10**5
     # the naive partial sum carries a tail of about p_max^(-1/2), biased in sign
     assert abs(ev.value - float(B_REF)) < 0.01
     assert ev.value == ev.gamma_used - 1.0 - HALF_LOG2 - ev.s_value
@@ -307,10 +300,6 @@ def test_compute_b_naive_mode():
 
 
 def test_compute_b_validation():
-    with pytest.raises(InvalidRangeError):
-        compute_B("accelerated", depth=8)
-    with pytest.raises(InvalidRangeError):
-        compute_B("accelerated", depth=MAX_DEPTH + 1)
     with pytest.raises(InvalidRangeError):
         compute_B("naive", p_max=100)
     with pytest.raises(InvalidRangeError):

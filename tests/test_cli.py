@@ -158,8 +158,8 @@ def test_constant_b_json(tmp_path, capsys):
     assert "B=-0.0662756342131" in text
     obj = json.loads(out.read_text())
     assert obj["mode"] == "accelerated"
-    assert obj["depth"] == 48
-    assert obj["tail_bound"] < 1e-18
+    assert "depth" not in obj
+    assert obj["tail_bound"] < 1e-29
     assert -0.0662756392 <= obj["value"] <= -0.0662756292
 
 
@@ -167,21 +167,33 @@ def test_constant_b_refuses_past_its_ceilings_at_once():
     # a separate process, so work started before the refusal fails on the timeout
     src = os.path.dirname(os.path.dirname(quadlcm.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "quadlcm", "constant-b", "--depth", "100000"],
+        [sys.executable, "-m", "quadlcm", "constant-b", "--mode", "naive",
+         "--p-max", "1000000000000"],
         capture_output=True, text=True, timeout=10,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 2
-    assert proc.stderr == "error: accelerated mode needs 16 <= depth <= 83\n"
+    assert proc.stderr == "error: naive mode needs 1000 <= p_max <= 100000000\n"
+
+
+def test_constant_b_has_no_depth_flag():
+    # B is summed at the recursion's own cutoff; there is no depth to set
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlcm", "constant-b", "--depth", "16"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --depth 16" in proc.stderr
 
 
 def test_constant_b_help_states_its_ceilings(capsys):
-    from quadlcm.asymptotics import MAX_DEPTH, MAX_P_MAX
+    from quadlcm.asymptotics import MAX_P_MAX
 
     with pytest.raises(SystemExit):
         cli.main(["constant-b", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    assert f"16 to {MAX_DEPTH};" in text
     assert f"1000 to {MAX_P_MAX}," in text
 
 
@@ -273,10 +285,10 @@ GOLDEN = [
      "100,-0.602345293433,-0.703082291165,0.100736997732\n"
      "1000,-0.684498565703,-0.703082291165,0.0185837254624\n",
      "025a52aed531c2d96c8993b0882494f0649d0cbf861a1be57e2701afa527a219", ["grid"]),
-    (["constant-b", "--depth", "16"],
-     "mode=accelerated B=-0.0662756469711 tail_bound=1.52894437975e-08\n", None,
-     "99a859223e6ce20cfa44fce5303c34749c2e74d230e8fdc68e8cd1fffa79904e",
-     ["depth", "mode", "p_max"]),
+    (["constant-b"],
+     "mode=accelerated B=-0.0662756342131 tail_bound=1.75720317616e-30\n", None,
+     "c554b052bb84235518689271b9309b46e1a5ff918dc2765a4365422bbba61583",
+     ["mode", "p_max"]),
     (["residuals", "--grid", "100:1000:10"], "",
      "n,log_L,main,r,r_normalized\n"
      "100,435.572563936,453.889455178,-18.3168912411,-0.358657459475\n"

@@ -69,7 +69,7 @@ def _closed_forms(setup):
         f"{setup}\n"
         "before = repr(getcontext())\n"
         "B = asymptotics.compute_B\n"
-        "for ev in (B(depth=16), B(depth=48), B('naive', p_max=10**5)):\n"
+        "for ev in (asymptotics._accelerated_b(16), B(), B('naive', p_max=10**5)):\n"
         "    print(dataclasses.astuple(ev))\n"
         "print([orders.log_P(n) for n in (1, 23, 3000, 10**7, 2**100)])\n"
         "print(asymptotics.prime_log_power_sum(3, asymptotics.CHAR_QUADRATIC))\n"
