@@ -2,7 +2,7 @@
 
 The package computes log L_n exactly for n into the tens of millions via
 prime-order corrections, evaluates the linear-term constant of its growth
-law to about seventeen digits, and measures the equidistribution of
+law to about 28 digits, and measures the equidistribution of
 the roots of x² ≡ -1 that drives the error term.
 
 The public names below resolve on first use (PEP 562), so importing the

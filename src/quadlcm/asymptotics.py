@@ -97,25 +97,13 @@ class ConstantEvaluation:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """log L_n against its predicted main term n log n + B n.
-
-    eq6_main is the finite-sum intermediate 2n log n − n(1 + (log 2)/2
-    + Σ_{2<p≤2n} (1+chi(p)) log p/(p−1)); replacing its two prime sums by
-    their limits (Mertens-type and S) turns it into `main`, so
-    eq6_vs_closed measures exactly the finite-vs-limit slack.  Since
-    1+chi(p) is 2 for p ≡ 1 mod 4 and 0 for p ≡ 3 mod 4, the prime sum is
-    evaluated as 2 Σ_{p≡1 (4), p≤2n} log p/(p−1): each term rounded once,
-    then one correctly rounded fsum.
-    """
+    """log L_n against its predicted main term n log n + B n."""
 
     n: int
     log_L: float
     main: float
     r: float
     normalized: float
-    eq6_main: float
-    eq6_vs_exact: float
-    eq6_vs_closed: float
 
 
 def _harmonic_terms(primes: Iterator[int]) -> Iterator[float]:
@@ -130,10 +118,21 @@ def _prime_harmonic_sums(x: int) -> tuple[float, float]:
     return mertens_log_sum(x), character_log_sum(x)
 
 
-def _eq6_prime_sum(x: int) -> float:
-    """2 Σ log p/(p−1) over p ≡ 1 mod 4, p ≤ x, by one fsum (doubling is
-    exact)."""
-    return 2.0 * math.fsum(_harmonic_terms(iter_primes_one_mod_four(0, x)))
+def eq6_main(n: int) -> float:
+    """Cilleruelo's finite-sum intermediate 2n log n − n(1 + (log 2)/2
+    + Σ_{2<p≤2n} (1+chi(p)) log p/(p−1)).
+
+    Replacing its two prime sums by their limits (Mertens-type and S)
+    turns it into the main term n log n + B n.  Since 1+chi(p) is 2 for
+    p ≡ 1 mod 4 and 0 for p ≡ 3 mod 4, the prime sum is evaluated as
+    2 Σ_{p≡1 (4), p≤2n} log p/(p−1) over the 1 mod 4 view of the sieve:
+    each term rounded once, then one correctly rounded fsum (doubling is
+    exact).
+    """
+    if n < 1:
+        raise InvalidRangeError("eq6_main needs n >= 1")
+    prime_sum = 2.0 * math.fsum(_harmonic_terms(iter_primes_one_mod_four(0, 2 * n)))
+    return 2 * n * math.log(n) - n * (1.0 + HALF_LOG2 + prime_sum)
 
 
 def mertens_log_sum(x: int) -> float:
@@ -280,13 +279,10 @@ def compute_B(mode: str = "accelerated", *, p_max: int = 10**6) -> ConstantEvalu
 def residual_scan(
     grid: list[int], theta: float = 0.44, workers: int = 1
 ) -> list[ResidualReport]:
-    """r(n) = log L_n − (n log n + B n) along a grid, with the finite
-    Eq.-style intermediate for comparison.
+    """r(n) = log L_n − (n log n + B n) along a grid.
 
     normalized is r · (log n)^theta / n; theta must sit strictly inside
-    (0, 4/9), default just under the top.  The eq6 prime sum streams only
-    the 1 mod 4 view of the sieve to 2n; ResidualReport says why that is
-    exact and how the sum is rounded.
+    (0, 4/9), default just under the top.
     """
     if not grid:
         raise InvalidRangeError("empty grid")
@@ -304,17 +300,5 @@ def residual_scan(
         main = n * logn + b_value * n
         r = ev.log_L - main
         normalized = r * logn**theta / n if n > 1 else 0.0
-        eq6_main = 2 * n * logn - n * (1.0 + HALF_LOG2 + _eq6_prime_sum(2 * n))
-        out.append(
-            ResidualReport(
-                n=n,
-                log_L=ev.log_L,
-                main=main,
-                r=r,
-                normalized=normalized,
-                eq6_main=eq6_main,
-                eq6_vs_exact=eq6_main - ev.log_L,
-                eq6_vs_closed=eq6_main - main,
-            )
-        )
+        out.append(ResidualReport(n=n, log_L=ev.log_L, main=main, r=r, normalized=normalized))
     return out

@@ -15,11 +15,12 @@ Conventions shared by every subcommand:
 Each data command is one row of COMMANDS: it names the one submodule its
 handler computes with, and the handler only computes and returns (key=value
 line or None, Table or JSON object); run_command imports that submodule and
-does the worker resolution, timing, printing and writing for all of them.
+does the worker check, timing, printing and writing for all of them.
 A run imports only its own command's submodule and what that imports.
 
-Worker counts resolve flag first, then the QUADLCM_WORKERS environment
-variable, then 1.  Reruns with identical config produce byte-identical
+The worker count is the --workers flag alone (default 1); a pool never
+starts more processes than there are CPUs or blocks, and no worker count
+changes a result.  Reruns with identical config produce byte-identical
 data files; only manifest wall times vary.
 """
 
@@ -78,20 +79,6 @@ def parse_grid(spec: str) -> list[int]:
     return geometric(start, stop, factor)
 
 
-def _resolve_workers(flag_value: int | None) -> int:
-    if flag_value is None:
-        env = os.environ.get("QUADLCM_WORKERS", "").strip()
-        if not env:
-            return 1
-        try:
-            flag_value = int(env)
-        except ValueError:
-            raise UsageError(f"QUADLCM_WORKERS must be an integer, got {env!r}") from None
-    if flag_value < 1:
-        raise UsageError("worker count must be >= 1")
-    return flag_value
-
-
 def run_command(args: argparse.Namespace) -> int:
     """Time the handler as the compute phase, print its line, emit its report.
 
@@ -99,8 +86,8 @@ def run_command(args: argparse.Namespace) -> int:
     dropped; with --out either is written (the write phase) beside its
     manifest.
     """
-    if hasattr(args, "workers"):
-        args.workers = _resolve_workers(args.workers)
+    if getattr(args, "workers", 1) < 1:
+        raise UsageError("worker count must be >= 1")
     command = args.func
     # imported before the clock starts, so the compute phase is compute only
     module = import_module(f".{command.module}", __package__)
@@ -298,8 +285,8 @@ def _flag(*names: str, **kwargs) -> tuple:
 
 _N = _flag("--n", type=int, required=True)
 _GRID = _flag("--grid", required=True, help="start:stop:factor")
-_WORKERS = _flag("--workers", type=int, default=None,
-                 help="worker processes (default: QUADLCM_WORKERS or 1)")
+_WORKERS = _flag("--workers", type=int, default=1,
+                 help="worker processes, capped at the CPU count (default: 1)")
 _LO_HI = [_flag("--lo", type=int, required=True), _flag("--hi", type=int, required=True)]
 
 # build_parser adds --out to every entry.

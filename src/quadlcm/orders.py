@@ -35,6 +35,7 @@ with an exact integer residual of that rearrangement (always 0).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -202,16 +203,18 @@ def order_profile(p: int, n: int) -> OrderProfile:
 def _map_blocks(fn: Callable, blocks: Sequence, workers: int) -> list:
     """Map fn over fixed blocks, serially or on a pool, in block order.
 
-    Block boundaries never depend on the worker count, and callers reduce
+    The pool starts at most one process per CPU and per block.  Block
+    boundaries never depend on the worker count, and callers reduce
     the partials by one fsum, which rounds their exact sum once: neither
     the worker count nor the order of the partials can change its bits.
     """
-    if workers <= 1 or len(blocks) <= 1:
+    processes = min(workers, len(blocks), os.cpu_count() or 1)
+    if processes <= 1:
         return [fn(b) for b in blocks]
     # imported here, so a serial run never loads multiprocessing
     from multiprocessing import Pool
 
-    with Pool(processes=min(workers, len(blocks))) as pool:
+    with Pool(processes=processes) as pool:
         return list(pool.imap(fn, blocks, chunksize=1))
 
 

@@ -538,11 +538,12 @@ def check_residuals(p: VerifyParams) -> str:
     grid = geometric(10**3, p.residual_max)
     reps = asymptotics.residual_scan(grid)
     ref = abs(reps[0].normalized)
-    cal = abs(reps[0].eq6_vs_exact) * math.log(reps[0].n) ** 0.44 / reps[0].n
-    for rep in reps[1:]:
+    # how far Eq. (6)'s finite-sum assembly sits from the exact log L_n
+    cal, *drift = (abs(asymptotics.eq6_main(r.n) - r.log_L) * math.log(r.n) ** 0.44 / r.n
+                   for r in reps)
+    for rep, val in zip(reps[1:], drift):
         _require(abs(rep.normalized) <= 3 * ref,
                  f"normalized residual at n={rep.n} exceeds 3x the first grid point")
-        val = abs(rep.eq6_vs_exact) * math.log(rep.n) ** 0.44 / rep.n
         _require(val <= cal,
                  f"finite-sum assembly drift at n={rep.n}: {val:.4g} > {cal:.4g}")
     return f"residual hand values and assembly calibration hold on {grid}"

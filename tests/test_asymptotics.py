@@ -17,6 +17,7 @@ from quadlcm.asymptotics import (
     MAX_P_MAX,
     character_log_sum,
     compute_B,
+    eq6_main,
     mertens_log_sum,
     prime_log_power_sum,
     residual_scan,
@@ -330,8 +331,8 @@ def test_residual_eq6_intermediate_matches_direct_assembly():
     # u·|x| < ulp(x), so the gap is below (3A + 6D)/|eq6_main| + 1 ulps.
     # With K = (A + D)/|eq6_main| the cancellation ratio, 6K + 2 covers
     # that and the second-order terms.  At n = 1 the sum is empty (2n = 2).
-    grid = [1, 10, 100, 10**4]
-    for n, rep in zip(grid, residual_scan(grid)):
+    for n in [1, 10, 100, 10**4]:
+        got = eq6_main(n)
         with mpmath.workdps(40):
             s = mpmath.fsum(
                 mpmath.log(int(p)) / (int(p) - 1)
@@ -340,11 +341,26 @@ def test_residual_eq6_intermediate_matches_direct_assembly():
             )
             a = 2 * n * mpmath.log(n)
             d = n * (1 + mpmath.log(2) / 2 + 2 * s)
-            gap = abs(mpmath.mpf(rep.eq6_main) - (a - d)) / math.ulp(rep.eq6_main)
+            gap = abs(mpmath.mpf(got) - (a - d)) / math.ulp(got)
             k = (a + d) / abs(a - d)
         assert gap <= 6 * k + 2, (n, gap, k)
-        assert rep.eq6_vs_exact == rep.eq6_main - rep.log_L
-        assert rep.eq6_vs_closed == rep.eq6_main - rep.main
+    with pytest.raises(InvalidRangeError):
+        eq6_main(0)
+
+
+def test_residual_scan_makes_no_eq6_pass(monkeypatch):
+    # r(n) needs log L_n and B only: neither the Eq. (6) sum nor the
+    # 1 mod 4 sieve pass behind it may run inside the scan
+    def refuse(*args):
+        raise AssertionError("residual_scan made an Eq. (6) pass")
+
+    monkeypatch.setattr(asymptotics, "eq6_main", refuse, raising=False)
+    monkeypatch.setattr(asymptotics, "iter_primes_one_mod_four", refuse)
+    lo, hi = residual_scan([1000, 10000])
+    # the report holds what the residuals CSV prints, and nothing else
+    assert tuple(vars(lo)) == ("n", "log_L", "main", "r", "normalized")
+    assert tuple(vars(lo).values()) == RESIDUAL_PINS[1000]
+    assert hi.n == 10000
 
 
 # (n, log_L, main, r, normalized) of residual_scan pinned with ==; at

@@ -102,20 +102,18 @@ def test_rerun_is_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_workers_do_not_change_bytes(tmp_path, capsys, monkeypatch):
+def test_workers_do_not_change_bytes(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     run(capsys, "lcm", "--n", "20000", "--workers", "1", "--out", str(a))
-    monkeypatch.setenv("QUADLCM_WORKERS", "2")
-    run(capsys, "lcm", "--n", "20000", "--out", str(b))
+    run(capsys, "lcm", "--n", "20000", "--workers", "2", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_workers_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("QUADLCM_WORKERS", "zero")
-    code, _, err = run(capsys, "lcm", "--n", "10")
+def test_workers_must_be_at_least_one(capsys):
+    code, _, err = run(capsys, "lcm", "--n", "10", "--workers", "0")
     assert code == 2
-    assert "QUADLCM_WORKERS" in err
+    assert "worker count must be >= 1" in err
 
 
 def test_discrepancy_csv_columns(capsys):

@@ -21,6 +21,7 @@ from quadlcm.orders import (
     _correction_partials,
     _ledger_partials,
     _log_P_decimal,
+    _map_blocks,
     _order_counts,
     alpha_exact,
     alpha_star,
@@ -351,6 +352,43 @@ def test_worker_count_never_changes_results():
     assert _correction_partials(n, 1) == _correction_partials(n, 2)
     assert decomposition_report(n, workers=1) == decomposition_report(n, workers=2)
     assert _ledger_partials(n, 1) == _ledger_partials(n, 2)
+
+
+@pytest.mark.parametrize(
+    ("cpus", "workers", "blocks", "want"),
+    [
+        (2, 1000, 954, [2]),  # lcm --n 10**9 --workers 1000 on 2 CPUs
+        (8, 3, 954, [3]),
+        (8, 1000, 5, [5]),
+        (None, 1000, 954, []),  # unknown CPU count: serial
+        (1, 2, 954, []),
+    ],
+)
+def test_pool_is_capped_at_the_cpu_count(monkeypatch, cpus, workers, blocks, want):
+    import multiprocessing
+    import os
+
+    opened = []
+
+    class SerialPool:
+        """Records `processes` and maps in this process: starts no worker."""
+
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    assert _map_blocks(abs, range(-blocks, 0), workers) == list(range(blocks, 0, -1))
+    assert opened == want
 
 
 def test_decomposition_identity_and_beta_star():

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -88,3 +89,52 @@ def test_every_public_name_is_its_submodule_attribute():
     ).discrepancy
     with pytest.raises(AttributeError):
         quadlcm.no_such_name
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _probe(spec: dict) -> tuple[dict, dict]:
+    """Run one benchmark layer probe in a fresh interpreter, as the traced
+    benchmark run does: ({span name: [spans]}, values)."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "probe.py"), json.dumps(spec)],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    named: dict = {}
+    for span in result["spans"]:
+        named.setdefault(span["name"], []).append(span)
+    return named, result["values"]
+
+
+def _children(named: dict, parent: dict, name: str) -> list:
+    return [s for s in named.get(name, []) if s["parent"] == parent["id"]]
+
+
+def test_benchmark_probes_keep_the_span_shapes_their_trace_reads():
+    # `perfbench/run.py --trace 1` aborts, and so fails the traced run, when
+    # a probe exits non-zero or a span it unpacks is missing or doubled: the
+    # probes see a layer only when the package calls it through the module
+    # global that probe.py wraps
+    serial, one = _probe({"probe": "lcm", "n": 1000, "workers": 1})
+    (top,) = serial["orders.lcm_serial"]
+    assert len(_children(serial, top, "orders.log_P")) == 1
+    assert len(_children(serial, top, "orders.correction")) == 1
+    pool, two = _probe({"probe": "lcm", "n": 1000, "workers": 2})
+    assert len(pool["orders.lcm_pool"]) == 1
+    assert one["log_L"] == two["log_L"]
+
+    grid = [10, 100, 1000]
+    resid, values = _probe({"probe": "residuals", "grid": grid})
+    (scan,) = resid["asymptotics.residual_scan"]
+    assert len(_children(resid, scan, "asymptotics.compute_B")) == 1
+    assert len(_children(resid, scan, "orders.lcm")) == len(grid)
+    assert [row[0] for row in values["rows"]] == grid
+
+    disc, values = _probe({"probe": "discrepancy", "grid": [100, 1000]})
+    assert len(disc["discrepancy.collect"]) >= 1
+    assert len(disc["discrepancy.scan"]) >= 1
+    assert len(values["csv_lines"]) == 2
