@@ -14,9 +14,7 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# public name -> the submodule that defines it.  The discrepancy submodule
-# keeps its name at package level, so its headline operation discrepancy()
-# is exported under another name (_RENAMED: name -> (submodule, attribute)).
+# public name -> the submodule that defines it
 _EXPORTS = {
     **dict.fromkeys(
         ("ConstantEvaluation", "ResidualReport", "character_log_sum", "compute_B",
@@ -25,7 +23,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         ("BVFunction", "DiscrepancyReport", "centered_fraction_sum", "collect_fractions",
-         "decay_scan", "equidistribution_sum"),
+         "decay_scan", "equidistribution_sum", "interval_discrepancy"),
         "discrepancy",
     ),
     **dict.fromkeys(
@@ -36,7 +34,7 @@ _EXPORTS = {
         "orders",
     ),
     **dict.fromkeys(
-        ("PrimeCounts", "chebyshev_psi", "iter_primes", "prime_counts", "sieve_range"),
+        ("PrimeCounts", "chebyshev_psi", "iter_primes", "prime_counts"),
         "primes",
     ),
     **dict.fromkeys(
@@ -44,18 +42,13 @@ _EXPORTS = {
         "roots",
     ),
 }
-_RENAMED = {"interval_discrepancy": ("discrepancy", "discrepancy")}
 
-__all__ = ["__version__", *sorted({*_EXPORTS, *_RENAMED})]
+__all__ = ["__version__", *sorted(_EXPORTS)]
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        module, attr = _EXPORTS[name], name
-    elif name in _RENAMED:
-        module, attr = _RENAMED[name]
-    else:
+    if name not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), attr)
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
     globals()[name] = value
     return value

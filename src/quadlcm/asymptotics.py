@@ -218,11 +218,6 @@ def prime_log_power_sum(s: int, char: str = CHAR_TRIVIAL) -> PowerSumValue:
     return PowerSumValue(s=s, char=char, hi=hi, lo=lo, tail_bound=bound)
 
 
-def _recombine(gamma_used: float, s_value: float) -> float:
-    # canonical plain-double expression; tests reconstruct it verbatim
-    return gamma_used - 1.0 - HALF_LOG2 - s_value
-
-
 def _evaluation(
     mode: str, s: Decimal, tail_bound: float, p_max: int | None = None
 ) -> ConstantEvaluation:
@@ -233,7 +228,8 @@ def _evaluation(
     s_value = float(s)
     return ConstantEvaluation(
         mode=mode,
-        value=_recombine(gamma_used, s_value),
+        # canonical plain-double expression; tests reconstruct it verbatim
+        value=gamma_used - 1.0 - HALF_LOG2 - s_value,
         value_hi=value_hi,
         value_lo=value_lo,
         s_value=s_value,

@@ -15,13 +15,14 @@ Conventions shared by every subcommand:
 Each data command is one row of COMMANDS: it names the one submodule its
 handler computes with, and the handler only computes and returns (key=value
 line or None, Table or JSON object); run_command imports that submodule and
-does the worker check, timing, printing and writing for all of them.
+does the timing, printing and writing for all of them.
 A run imports only its own command's submodule and what that imports.
 
-The worker count is the --workers flag alone (default 1); a pool never
-starts more processes than there are CPUs or blocks, and no worker count
-changes a result.  Reruns with identical config produce byte-identical
-data files; only manifest wall times vary.
+The worker count is the --workers flag alone (default 1); `orders` refuses
+a count below 1 (exit 2), a pool never starts more processes than there
+are CPUs or blocks, and no worker count changes a result.  Reruns with
+identical config produce byte-identical data files; only manifest wall
+times vary.
 """
 
 from __future__ import annotations
@@ -86,8 +87,6 @@ def run_command(args: argparse.Namespace) -> int:
     dropped; with --out either is written (the write phase) beside its
     manifest.
     """
-    if getattr(args, "workers", 1) < 1:
-        raise UsageError("worker count must be >= 1")
     command = args.func
     # imported before the clock starts, so the compute phase is compute only
     module = import_module(f".{command.module}", __package__)
@@ -180,9 +179,7 @@ def cmd_decomp(orders, args):
         f"two={format_value(rep.two_correction)} "
         f"identity_residue={rep.identity_residue} bad_primes={len(rep.bad_primes)}"
     )
-    obj = asdict(rep)
-    obj["bad_primes"] = list(rep.bad_primes)
-    return line, obj
+    return line, asdict(rep)
 
 
 def cmd_discrepancy(discrepancy, args):

@@ -72,21 +72,24 @@ class DiscrepancyReport:
 def collect_fractions(n: int) -> FractionSample:
     """All root fractions for primes up to n, sorted, with pi(n).
 
-    The (nu, p) pairs sort by the exact integer key ⌊nu·2^k/p⌋ with
-    k = 2·n.bit_length(); each Fraction is built once, in order.  No two
-    root fractions coincide (nu/p = nu'/q with p ≠ q would need p | nu),
-    and distinct ones with p, q ≤ n differ by at least 1/(pq) ≥ 1/n² > 2^−k,
-    so scaled by 2^k they lie more than 1 apart and their floors differ.
+    The sample is symmetric under x ↦ 1 − x about its centre 1/2 (p = 2),
+    so only the smaller roots nu/p < 1/2 are sorted, by the exact integer
+    key ⌊nu·2^k/p⌋ with k = 2·n.bit_length(); the upper half is their
+    reflections in reverse order.  Each Fraction is built once, in order.
+    No two root fractions coincide (nu/p = nu'/q with p ≠ q would need
+    p | nu), and distinct ones with p, q ≤ n differ by at least
+    1/(pq) ≥ 1/n² > 2^−k, so scaled by 2^k they lie more than 1 apart and
+    their floors differ.
     """
     if n < 2:
         raise EmptySampleError(f"no primes up to {n}, sample undefined")
     k = 2 * n.bit_length()
-    pairs = [(1, 2)]
-    for p, nu in prime_roots(0, n):
-        pairs.append((nu, p))
-        pairs.append((p - nu, p))
-    pairs.sort(key=lambda f: (f[0] << k) // f[1])
-    items = tuple(Fraction(nu, p) for nu, p in pairs)
+    lower = sorted(prime_roots(0, n), key=lambda r: (r[1] << k) // r[0])
+    items = (
+        *(Fraction(nu, p) for p, nu in lower),
+        Fraction(1, 2),
+        *(Fraction(p - nu, p) for p, nu in reversed(lower)),
+    )
     return FractionSample(n=n, items=items, pi_n=count_primes(0, n))
 
 
@@ -136,6 +139,11 @@ def discrepancy_of_sample(sample: FractionSample) -> DiscrepancyReport:
 
 def discrepancy(n: int) -> DiscrepancyReport:
     return discrepancy_of_sample(collect_fractions(n))
+
+
+# the package exports discrepancy() under this name: `quadlcm.discrepancy`
+# is the submodule
+interval_discrepancy = discrepancy
 
 
 class TestFunction(Protocol):
@@ -273,7 +281,6 @@ class DecayScan:
     reports: tuple[DiscrepancyReport, ...]
     amplitude: float | None  # c in D ≈ c (log n)^(−d)
     exponent: float | None  # d, positive when D decays
-    fit_rms: float | None
 
     @property
     def fitted(self) -> bool:
@@ -293,18 +300,13 @@ def decay_scan(grid: list[int]) -> DecayScan:
         raise InvalidRangeError("grid entries must be at least 2")
     reports = tuple(discrepancy(n) for n in grid)
     if len(grid) < 3:
-        return DecayScan(reports=reports, amplitude=None, exponent=None, fit_rms=None)
+        return DecayScan(reports=reports, amplitude=None, exponent=None)
     xs = [math.log(math.log(r.n)) for r in reports]
     ys = [math.log(r.D) for r in reports]
     mx = math.fsum(xs) / len(xs)
     my = math.fsum(ys) / len(ys)
     sxx = math.fsum((x - mx) ** 2 for x in xs)
     sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
-    d = -slope
+    d = -sxy / sxx
     c = math.exp(my + d * mx)
-    rms = math.sqrt(
-        math.fsum((y - (my + slope * (x - mx))) ** 2 for x, y in zip(xs, ys))
-        / len(xs)
-    )
-    return DecayScan(reports=reports, amplitude=c, exponent=d, fit_rms=rms)
+    return DecayScan(reports=reports, amplitude=c, exponent=d)

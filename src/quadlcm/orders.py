@@ -173,16 +173,6 @@ def beta_exact(p: int, n: int) -> int:
     return order_profile(p, n).beta
 
 
-def alpha_star(p: int, n: int) -> int:
-    """Count of i ≤ n with p | i²+1."""
-    return order_profile(p, n).alpha_star
-
-
-def beta_star(p: int, n: int) -> int:
-    """1 when p admits a root and some i ≤ n realizes it, else 0."""
-    return order_profile(p, n).beta_star
-
-
 def order_profile(p: int, n: int) -> OrderProfile:
     """All four orders of a prime p at bound n ≥ 1."""
     require_prime(p)
@@ -207,7 +197,10 @@ def _map_blocks(fn: Callable, blocks: Sequence, workers: int) -> list:
     boundaries never depend on the worker count, and callers reduce
     the partials by one fsum, which rounds their exact sum once: neither
     the worker count nor the order of the partials can change its bits.
+    A worker count below 1 raises InvalidRangeError.
     """
+    if workers < 1:
+        raise InvalidRangeError("worker count must be >= 1")
     processes = min(workers, len(blocks), os.cpu_count() or 1)
     if processes <= 1:
         return [fn(b) for b in blocks]

@@ -29,15 +29,6 @@ DEFAULT_SEGMENT = 1 << 21
 
 
 @dataclass(frozen=True)
-class PrimeBlock:
-    """Primes in a half-open window (lo, hi]."""
-
-    lo: int
-    hi: int
-    primes: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PrimeCounts:
     n: int
     pi: int
@@ -142,11 +133,6 @@ def _counts(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> tuple[int, int]
 def count_primes(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> int:
     """pi over (lo, hi]: the set slots of each segment's mask, plus 2."""
     return _counts(lo, hi, segment)[0]
-
-
-def sieve_range(lo: int, hi: int, segment: int = DEFAULT_SEGMENT) -> PrimeBlock:
-    """Materialize the primes in (lo, hi]."""
-    return PrimeBlock(lo=lo, hi=hi, primes=tuple(iter_primes(lo, hi, segment)))
 
 
 # exact below 3317044064679887385961981 (Sorenson & Webster 2015); without

@@ -13,7 +13,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -72,15 +72,7 @@ class RunManifest:
     files: dict
 
     def render(self) -> str:
-        return render_json(
-            {
-                "command": self.command,
-                "version": self.version,
-                "config": self.config,
-                "wall_seconds": self.wall_seconds,
-                "files": self.files,
-            }
-        )
+        return render_json(asdict(self))
 
     def write_next_to(self, out_path: str | Path) -> Path:
         target = Path(str(out_path) + ".manifest.json")

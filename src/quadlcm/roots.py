@@ -31,6 +31,9 @@ from .errors import InvalidRangeError, NotOneModFourError, RangeOverflowError
 from .primes import iter_primes_one_mod_four, require_prime
 
 _MACHINE_MAX = (1 << 63) - 1
+# every p ≡ 1 mod 4 is at least 5 and 5^28 > _MACHINE_MAX, so an exponent
+# this large is refused before p^a is built
+_MAX_EXPONENT = 28
 
 # (q, the non-residues mod q) for the odd primes q ≤ 61
 _NON_RESIDUES = tuple(
@@ -154,7 +157,7 @@ def roots_mod_prime_power(p: int, a: int) -> RootPair:
         raise NotOneModFourError(f"x² ≡ −1 has no root pair mod {p}^{a}")
     if a < 1:
         raise InvalidRangeError("exponent must be at least 1")
-    if p**a > _MACHINE_MAX:
+    if a >= _MAX_EXPONENT or p**a > _MACHINE_MAX:
         raise RangeOverflowError(f"{p}^{a} exceeds the machine-integer range")
     nu = _lifted_root(p, a)
     return RootPair(p=p, a=a, nu1=nu, nu2=p**a - nu)

@@ -425,24 +425,27 @@ def test_residual_scan_worker_determinism():
     assert residual_scan(grid, workers=1) == residual_scan(grid, workers=2)
 
 
-def test_probe_layer_names_stay_bound():
-    # perfbench/probe.py times its runs by wrapping or swapping these
-    # module globals, so each must stay bound even where the package no
-    # longer calls it through that name
-    for module, names in (
+# perfbench/probe.py times its runs by wrapping or swapping these module
+# globals, so each must stay bound even where the package no longer calls
+# it through that name (tests/test_package.py lets them be unused imports)
+PROBE_GLOBALS = (
+    (
+        asymptotics,
         (
-            asymptotics,
-            (
-                "_prime_harmonic_sums",
-                "log_lcm_exact",
-                "compute_B",
-                "neg_log_deriv_zeta",
-                "neg_log_deriv_l4",
-            ),
+            "_prime_harmonic_sums",
+            "log_lcm_exact",
+            "compute_B",
+            "neg_log_deriv_zeta",
+            "neg_log_deriv_l4",
         ),
-        (orders, ("log_P", "_correction_partials", "iter_primes", "_lifted_root")),
-        (discrepancy, ("collect_fractions", "discrepancy_of_sample")),
-    ):
+    ),
+    (orders, ("log_P", "_correction_partials", "iter_primes", "_lifted_root")),
+    (discrepancy, ("collect_fractions", "discrepancy_of_sample")),
+)
+
+
+def test_probe_layer_names_stay_bound():
+    for module, names in PROBE_GLOBALS:
         for name in names:
             assert callable(getattr(module, name)), f"{module.__name__}.{name}"
 

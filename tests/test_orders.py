@@ -24,9 +24,7 @@ from quadlcm.orders import (
     _map_blocks,
     _order_counts,
     alpha_exact,
-    alpha_star,
     beta_exact,
-    beta_star,
     count_solutions_upto,
     decomposition_report,
     log_P,
@@ -82,8 +80,9 @@ def test_orders_against_factoring_oracle():
             assert alpha_exact(p, n) == a_want, (p, n)
             assert beta_exact(p, n) == b_want, (p, n)
             want_star = sum(1 for i in range(1, n + 1) if (i * i + 1) % p == 0)
-            assert alpha_star(p, n) == want_star, (p, n)
-            assert beta_star(p, n) == (1 if want_star else 0), (p, n)
+            prof = order_profile(p, n)
+            assert prof.alpha_star == want_star, (p, n)
+            assert prof.beta_star == (1 if want_star else 0), (p, n)
 
 
 def test_two_adic_closed_form():
@@ -292,6 +291,7 @@ def _time_limit(seconds):
 @example(0, 10, 1)
 @example(-3, 10, 1)
 @example(999983, 10**4, 3)
+@example(5, 10, 10**7)  # refused before 5^(10^7) is built
 @settings(max_examples=150, deadline=1000)
 def test_entry_points_return_or_raise_in_bounded_time(p, n, a):
     calls = [
@@ -302,8 +302,6 @@ def test_entry_points_return_or_raise_in_bounded_time(p, n, a):
         (order_profile, (p, n)),
         (alpha_exact, (p, n)),
         (beta_exact, (p, n)),
-        (alpha_star, (p, n)),
-        (beta_star, (p, n)),
     ]
     with _time_limit(2.0):
         for fn, args in calls:
@@ -352,6 +350,14 @@ def test_worker_count_never_changes_results():
     assert _correction_partials(n, 1) == _correction_partials(n, 2)
     assert decomposition_report(n, workers=1) == decomposition_report(n, workers=2)
     assert _ledger_partials(n, 1) == _ledger_partials(n, 2)
+
+
+@pytest.mark.parametrize("workers", [0, -1])
+def test_library_refuses_a_worker_count_below_one(workers):
+    with pytest.raises(InvalidRangeError, match="worker count must be >= 1"):
+        log_lcm_exact(1000, workers=workers)
+    with pytest.raises(InvalidRangeError, match="worker count must be >= 1"):
+        decomposition_report(1000, workers=workers)
 
 
 @pytest.mark.parametrize(

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import quadlcm
+from test_asymptotics import PROBE_GLOBALS
 
 SOURCES = sorted(Path(quadlcm.__file__).parent.glob("*.py"))
 
@@ -30,6 +31,25 @@ def test_runtime_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names or top == "quadlcm", (
                     f"{path.name} imports {name}"
                 )
+
+
+def test_every_imported_name_is_used():
+    # the names perfbench/probe.py wraps are the only imports a module may
+    # keep without reading them
+    kept = {(module.__name__, name) for module, names in PROBE_GLOBALS for name in names}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).partition(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        module = f"quadlcm.{path.stem}"
+        unused = sorted(name for name in imported - used if (module, name) not in kept)
+        assert unused == [], f"{path.name} never uses {unused}"
 
 
 # Run in a fresh interpreter: prints the sorted module names loaded after

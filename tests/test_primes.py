@@ -21,7 +21,6 @@ from quadlcm.primes import (
     iter_primes_one_mod_four,
     pi1_range,
     prime_counts,
-    sieve_range,
 )
 from quadlcm.summation import log_of_bigint
 
@@ -71,12 +70,6 @@ def test_iter_primes_rejects_bad_ranges():
         list(iter_primes(10, 5))
     with pytest.raises(InvalidRangeError):
         list(iter_primes(-1, 10))
-
-
-def test_sieve_range_block_fields():
-    block = sieve_range(0, 30)
-    assert block.lo == 0 and block.hi == 30
-    assert block.primes == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 
 def test_is_prime_matches_sieve_and_sympy():

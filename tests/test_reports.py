@@ -84,3 +84,15 @@ def test_manifest_render_varies_only_in_wall_time():
     ob = json.loads(b)
     del oa["wall_seconds"], ob["wall_seconds"]
     assert oa == ob
+
+
+def test_manifest_render_bytes_are_pinned():
+    # keys sorted at every level, two-space indent, one trailing newline
+    text = RunManifest(
+        "c", "0.1.0", {"x": 2, "a": [1, 2]}, {"compute": 0.1, "write": 0.02}, {"f": "00"}
+    ).render()
+    assert text == (
+        '{\n  "command": "c",\n  "config": {\n    "a": [\n      1,\n      2\n    ],\n'
+        '    "x": 2\n  },\n  "files": {\n    "f": "00"\n  },\n  "version": "0.1.0",\n'
+        '  "wall_seconds": {\n    "compute": 0.1,\n    "write": 0.02\n  }\n}\n'
+    )
