@@ -34,7 +34,7 @@ from .errors import InvalidRangeError
 from .dirichlet import L4, LAMBDA, ZETA, neg_log_deriv
 # unused here, but kept bound: the benchmark probe times the series by them
 from .dirichlet import neg_log_deriv_l4, neg_log_deriv_zeta  # noqa: F401
-from .orders import log_lcm_exact
+from .orders import log_lcm_exact, require_within_ceiling
 from .primes import iter_primes, iter_primes_one_mod_four
 from .summation import CONTEXT, GAMMA, LN2
 
@@ -278,7 +278,8 @@ def residual_scan(
     """r(n) = log L_n − (n log n + B n) along a grid.
 
     normalized is r · (log n)^theta / n; theta must sit strictly inside
-    (0, 4/9), default just under the top.
+    (0, 4/9), default just under the top.  A grid past the (p, ν)
+    folds' ceiling orders.MAX_N is refused before any point is computed.
     """
     if not grid:
         raise InvalidRangeError("empty grid")
@@ -288,6 +289,7 @@ def residual_scan(
         raise InvalidRangeError("grid entries must be at least 1")
     if not 0.0 < theta < 4.0 / 9.0:
         raise InvalidRangeError("theta must lie strictly inside (0, 4/9)")
+    require_within_ceiling(grid[-1])
     b_value = compute_B("accelerated").value
     out: list[ResidualReport] = []
     for n in grid:

@@ -10,7 +10,12 @@ Conventions shared by every subcommand:
   when --out is given,
 * exit codes: 2 for invalid flags, parameter validation or an unwritable
   --out, 3 when the exact-integer oracle cap is exceeded, 4 on modulus
-  overflow.
+  overflow,
+* a work ceiling stated in --help refuses an oversize input before any
+  work starts (exit 2): --p-max of constant-b, and the n of lcm, decomp,
+  badprimes and the last residuals grid point (orders.MAX_N),
+* verify prints one PASS/FAIL line per check, or with --json one JSON
+  object, and exits 1 when a check fails.
 
 Each data command is one row of COMMANDS: it names the one submodule its
 handler computes with, and the handler only computes and returns (key=value
@@ -266,13 +271,18 @@ def cmd_verify(args) -> int:
     from .verify import run_verify
 
     results = run_verify(args.level)
-    for r in results:
-        print(("PASS" if r.ok else "FAIL"), r.name, "::", r.detail, f"({r.seconds:.2f} s)")
     failures = [r for r in results if not r.ok]
+    if args.json:
+        checks = [asdict(r) for r in results]
+        sys.stdout.write(render_json({"level": args.level, "checks": checks}))
+    else:
+        for r in results:
+            print(("PASS" if r.ok else "FAIL"), r.name, "::", r.detail, f"({r.seconds:.2f} s)")
     if failures:
         print(f"first failing property: {failures[0].name}", file=sys.stderr)
         return 1
-    print(f"all {len(results)} checks passed at level {args.level}")
+    if not args.json:
+        print(f"all {len(results)} checks passed at level {args.level}")
     return 0
 
 
@@ -281,6 +291,9 @@ def _flag(*names: str, **kwargs) -> tuple:
 
 
 _N = _flag("--n", type=int, required=True)
+# the work ceiling orders.MAX_N of the (p, ν) folds
+_N_FOLD = _flag("--n", type=int, required=True,
+                help="at most 1000000000, about 0.2 µs per unit of n serially")
 _GRID = _flag("--grid", required=True, help="start:stop:factor")
 _WORKERS = _flag("--workers", type=int, default=1,
                  help="worker processes, capped at the CPU count (default: 1)")
@@ -294,14 +307,14 @@ COMMANDS = [
     Command("orders", "orders", cmd_orders, "alpha/beta order profile of one prime",
             [_flag("--p", type=int, required=True), _N]),
     Command("lcm", "orders", cmd_lcm, "exact log L_n via the prime-order correction",
-            [_N, _WORKERS]),
+            [_N_FOLD, _WORKERS]),
     Command("brute", "orders", cmd_brute, "exact-integer lcm oracle (capped)",
             [_N, _flag("--cap", type=int, default=None,
                        help="largest n the oracle takes (default: orders.ORACLE_CAP_DEFAULT)")]),
     Command("badprimes", "orders", cmd_badprimes,
-            "medium primes whose square divides some i²+1", [_N]),
+            "medium primes whose square divides some i²+1", [_N_FOLD]),
     Command("decomp", "orders", cmd_decomp, "correction pieces split at the n^(2/3) boundary",
-            [_N, _WORKERS]),
+            [_N_FOLD, _WORKERS]),
     Command("discrepancy", "discrepancy", cmd_discrepancy,
             "exact star discrepancy of root fractions",
             [_flag("--n", type=int, default=None),
@@ -320,7 +333,9 @@ COMMANDS = [
                    help="naive mode: 1000 to 100000000, about 0.06 µs per unit")]),
     Command("residuals", "asymptotics", cmd_residuals,
             "log L_n minus the n log n + B n main term",
-            [_GRID, _flag("--theta", type=float, default=0.44), _WORKERS]),
+            [_flag("--grid", required=True,
+                   help="start:stop:factor, stop at most 1000000000 (as lcm --n)"),
+             _flag("--theta", type=float, default=0.44), _WORKERS]),
 ]
 
 
@@ -340,6 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the built-in invariant suites")
     p.add_argument("level", nargs="?", choices=("quick", "full"), default="quick")
+    p.add_argument("--json", action="store_true",
+                   help="print one JSON object: the level and each check's "
+                        "name, ok, detail and seconds")
     return parser
 
 

@@ -2,16 +2,18 @@
 
 All windows use the half-open convention (lo, hi]: a prime p belongs to the
 window when lo < p <= hi.  Segment size is measured in integers; the sieve
-itself walks odd residues only, so the working set per segment is half the
-nominal window.
+never stores the even numbers, so the working set per segment is at most
+half the nominal window.
 
-Each segment is one odd-number mask, read three ways without a Python-level
-loop over its slots: `iter_primes` compresses the odd numbers by it,
-`iter_primes_one_mod_four` compresses every other odd number by a strided
-memoryview of it (the slots ≡ 1 mod 4, half of them, no copy), and
-`count_primes`, `pi1_range` and `prime_counts` count the set bytes of it
-and of that stride.  A segment's mask is freed before the next segment is
-sieved, so one is alive at a time.
+A segment is sieved into one of two masks, each read without a
+Python-level loop over its slots.  The odd mask holds one byte per odd
+number: `iter_primes` compresses the odd numbers by it, and `count_primes`,
+`pi1_range` and `prime_counts` count its set bytes and those of its 1 mod 4
+stride.  The 1 mod 4 mask holds one byte per number ≡ 1 mod 4, half as
+many: `iter_primes_one_mod_four` compresses those numbers by it, so the
+(p, ν) stream and every fold over it hold a quarter of the window.  A
+segment's mask is freed before the next segment is sieved, so one is alive
+at a time.
 """
 
 from __future__ import annotations
@@ -45,26 +47,32 @@ def _small_primes(limit: int) -> tuple[int, ...]:
     return (2, *compress(range(first, limit + 1, 2), alive))
 
 
-def _sieve_window(lo: int, hi: int, base: tuple[int, ...]) -> tuple[int, bytearray]:
-    """Odd-number mask of (lo, hi] given base primes covering sqrt(hi):
-    (first, alive) with alive[j] = 1 exactly when first + 2j is an odd
-    prime, first the least odd number ≥ max(lo + 1, 3).  2 is the caller's."""
-    first = max(lo + 1, 3) | 1
+def _sieve_window(
+    lo: int, hi: int, base: tuple[int, ...], step: int = 2
+) -> tuple[int, bytearray]:
+    """Mask of the numbers ≡ 1 mod step in (lo, hi], step 2 (the odd mask)
+    or 4 (the 1 mod 4 mask), given base primes covering sqrt(hi):
+    (first, alive) with alive[j] = 1 exactly when first + step·j is an odd
+    prime, first the least number ≡ 1 mod step above max(lo, step).
+    2 is the caller's."""
+    first = max(lo + 1, step + 1)
+    first += (1 - first) % step
     if first > hi:
         return first, bytearray()
-    size = (hi - first) // 2 + 1  # odd numbers first, first+2, ..., <= hi
+    size = (hi - first) // step + 1
     alive = bytearray(b"\x01") * size
     for p in base:
         if p == 2:
             continue
         if p * p > hi:
             break
-        start = max(p * p, ((lo // p) + 1) * p)
-        if start % 2 == 0:
-            start += p
+        # p·k ≡ 1 mod step exactly when k ≡ p (p² ≡ 1 mod 4), and the
+        # next such multiple is step·p further on: p slots
+        k = max(p, lo // p + 1)
+        start = p * (k + (p - k) % step)
         if start > hi:
             continue
-        idx = (start - first) // 2
+        idx = (start - first) // step
         count = (size - idx + p - 1) // p
         alive[idx::p] = bytes(count)
     return first, alive
@@ -77,11 +85,9 @@ def _odd_primes(lo: int, hi: int, base: tuple[int, ...]) -> Iterator[int]:
 
 
 def _primes_one_mod_four(lo: int, hi: int, base: tuple[int, ...]) -> Iterator[int]:
-    """The primes p ≡ 1 mod 4 in (lo, hi]: every other odd slot of the
-    mask, read through a strided view of it, not a copy."""
-    first, alive = _sieve_window(lo, hi, base)
-    k = (first >> 1) & 1  # first + 2k ≡ 1 mod 4
-    return compress(range(first + 2 * k, hi + 1, 4), memoryview(alive)[k::2])
+    """The primes p ≡ 1 mod 4 in (lo, hi]: every slot of the 1 mod 4 mask."""
+    first, alive = _sieve_window(lo, hi, base, 4)
+    return compress(range(first, hi + 1, 4), alive)
 
 
 def _window_counts(lo: int, hi: int, base: tuple[int, ...]) -> tuple[int, int]:

@@ -111,8 +111,9 @@ def check_sieve_windows(p: VerifyParams) -> str:
              "pi(10) and pi1(10)")
     _require(primes.prime_counts(100).pi1 == 11, "pi1(100)")
     _require(primes.prime_counts(4).pi1 == 0, "pi1(4)")
-    # the 1 mod 4 view and the mask counts against the all-primes walk
-    for top, segment in ((10**4, 64), (p.grid_max, primes.DEFAULT_SEGMENT)):
+    # the 1 mod 4 view and the mask counts against the all-primes walk; the
+    # view sieves its own mask, and windows of 63 start at every residue mod 4
+    for top, segment in ((10**4, 63), (p.grid_max, primes.DEFAULT_SEGMENT)):
         view = primes.iter_primes_one_mod_four(0, top, segment)
         walk = (q for q in primes.iter_primes(0, top, segment) if q % 4 == 1)
         _require(all(a == b for a, b in zip_longest(view, walk)),

@@ -418,6 +418,16 @@ def test_residual_scan_validation():
         residual_scan([10, 100], theta=0.0)
 
 
+def test_residual_scan_refuses_a_grid_past_the_ceiling_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started past the ceiling")
+
+    monkeypatch.setattr(asymptotics, "compute_B", refuse)
+    monkeypatch.setattr(asymptotics, "log_lcm_exact", refuse)
+    with pytest.raises(InvalidRangeError, match=f"got n = {orders.MAX_N + 1}"):
+        residual_scan([10, orders.MAX_N + 1])
+
+
 def test_residual_scan_worker_determinism():
     # 1_100_000 spans two blocks of the correction pass, so workers=2
     # opens a pool there

@@ -195,6 +195,33 @@ def test_constant_b_help_states_its_ceilings(capsys):
     assert f"1000 to {MAX_P_MAX}," in text
 
 
+def test_fold_commands_help_state_the_ceiling(capsys):
+    from quadlcm.orders import MAX_N
+
+    for command, stated in (("lcm", f"--n N at most {MAX_N},"),
+                            ("decomp", f"--n N at most {MAX_N},"),
+                            ("badprimes", f"--n N at most {MAX_N},"),
+                            ("residuals", f"stop at most {MAX_N} ")):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert stated in " ".join(capsys.readouterr().out.split()), command
+
+
+def test_lcm_refuses_past_the_ceiling_at_once():
+    # a separate process, so work started before the refusal fails on the
+    # timeout; --workers is left at 1, so no pool could start
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlcm", "lcm", "--n", "100000000000"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        "error: n must be at most the work ceiling 1000000000, got n = 100000000000\n"
+    )
+
+
 @pytest.mark.parametrize("p", [9, 1, 21, 4, 0, -3])
 def test_orders_rejects_non_prime_p(p):
     # a separate process, so a hang in the root search fails on the timeout
@@ -235,6 +262,20 @@ def test_verify_quick_cli(capsys):
     assert all(line.startswith("PASS") for line in lines[:-1])
     assert "all 20 checks passed" in lines[-1]
     assert any("count_solutions_upto" in line for line in lines)
+
+
+def test_verify_json_cli(capsys):
+    code, out, _ = run(capsys, "verify", "quick", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert sorted(report) == ["checks", "level"]
+    assert report["level"] == "quick"
+    checks = report["checks"]
+    assert len(checks) == 20
+    for check in checks:
+        assert sorted(check) == ["detail", "name", "ok", "seconds"]
+        assert check["ok"] is True and check["seconds"] >= 0
+    assert any("count_solutions_upto" in check["name"] for check in checks)
 
 
 # One small input per data command: the exact stdout line(s), the CSV that

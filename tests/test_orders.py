@@ -14,8 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadlcm.errors import InvalidRangeError, OracleCapError, QuadlcmError
+from quadlcm import orders
 from quadlcm.orders import (
     LOG_P_MAX_N,
+    MAX_N,
     _blocks,
     _correction_block,
     _correction_partials,
@@ -350,6 +352,18 @@ def test_worker_count_never_changes_results():
     assert _correction_partials(n, 1) == _correction_partials(n, 2)
     assert decomposition_report(n, workers=1) == decomposition_report(n, workers=2)
     assert _ledger_partials(n, 1) == _ledger_partials(n, 2)
+
+
+def test_folds_refuse_n_past_the_ceiling_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started past the ceiling")
+
+    for name in ("log_P", "prime_roots", "_map_blocks"):
+        monkeypatch.setattr(orders, name, refuse)
+    message = f"at most the work ceiling {MAX_N}, got n = {MAX_N + 1}"
+    for fold in (log_lcm_exact, decomposition_report, square_divisor_primes):
+        with pytest.raises(InvalidRangeError, match=message):
+            fold(MAX_N + 1)
 
 
 @pytest.mark.parametrize("workers", [0, -1])

@@ -147,6 +147,12 @@ def test_one_mod_four_view_equals_filtered_primes():
     edge = DEFAULT_SEGMENT
     for lo in (edge - 1000, edge - 999, edge - 1):
         assert list(iter_primes_one_mod_four(lo, edge + 1000)) == _filtered(lo, edge + 1000)
+    # starts at the seam meet every residue mod 4 of the first slot of both
+    # windows it joins
+    for lo in range(edge - 4, edge + 5):
+        assert list(iter_primes_one_mod_four(lo, 2 * edge + 1000)) == _filtered(
+            lo, 2 * edge + 1000, 10**5
+        ), lo
     # the reference's seams, at multiples of 10⁵, never meet the view's at
     # multiples of 2²¹; segment 64 is covered by the small cases above
     assert list(iter_primes_one_mod_four(0, 2 * edge)) == _filtered(0, 2 * edge, 10**5)
@@ -182,11 +188,12 @@ def _traced_peak(fn):
 
 def test_one_mask_is_alive_at_a_time():
     # walking three segments peaks no higher than sieving one of them: a
-    # segment's mask is freed before the next one is sieved
+    # segment's mask is freed before the next one is sieved; the 1 mod 4
+    # walk holds the 1 mod 4 mask, half the size of the odd one
     segment = 1 << 18
     hi = 3 * segment
     base = _small_primes(math.isqrt(hi))
     one = _traced_peak(lambda: _sieve_window(0, segment, base))
-    for walk in (iter_primes, iter_primes_one_mod_four):
-        assert _traced_peak(lambda: deque(walk(0, hi, segment), 0)) < 1.1 * one, walk
+    assert _traced_peak(lambda: deque(iter_primes(0, hi, segment), 0)) < 1.1 * one
+    assert _traced_peak(lambda: deque(iter_primes_one_mod_four(0, hi, segment), 0)) < 0.6 * one
     assert _traced_peak(lambda: count_primes(0, hi, segment)) < 1.1 * one

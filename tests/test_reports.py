@@ -2,7 +2,12 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+
+import quadlcm
 
 from quadlcm.reports import (
     RunManifest,
@@ -50,6 +55,36 @@ def test_render_json_sorted_and_terminated():
 
 def test_sha256_text_stability():
     assert sha256_text("abc") == hashlib.sha256(b"abc").hexdigest()
+
+
+# empty, ASCII, non-ASCII, and 8.4 MB of UTF-8
+DIGEST_TEXTS = ["", "n,log_L\n10,21.2497962031\n", "ν/p ≡ −1", "ν/p ≡ −1;" * 600_000]
+
+
+def test_sha256_text_equals_hashlib():
+    assert len(DIGEST_TEXTS[-1].encode("utf-8")) >= 8_000_000
+    for text in DIGEST_TEXTS:
+        assert sha256_text(text) == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_sha256_text_without_the_builtin_module_falls_back_to_hashlib():
+    # as on Python 3.12+, where the built-in module is _sha2, not _sha256
+    script = (
+        "import json, sys\n"
+        "sys.modules['_sha256'] = None\n"
+        "from quadlcm import reports\n"
+        "digests = [reports.sha256_text(t) for t in json.load(sys.stdin)]\n"
+        "print(json.dumps(['hashlib' in sys.modules, digests]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(DIGEST_TEXTS),
+        capture_output=True, text=True, timeout=60, check=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    fell_back, digests = json.loads(proc.stdout)
+    assert fell_back
+    assert digests == [sha256_text(text) for text in DIGEST_TEXTS]
 
 
 def test_write_report_roundtrip(tmp_path):
