@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import InvalidRangeError, OracleCapError
-# iter_primes is unused here; perfbench/probe.py reads it (and _lifted_root)
+# iter_primes is not called here; it stays bound for perfbench/probe.py
 from .primes import DEFAULT_SEGMENT, iter_primes, require_prime
 from .roots import _lift, _lifted_root, prime_roots, roots_mod_prime_power
 from .summation import (

@@ -85,7 +85,9 @@ def _least_non_residue(p: int) -> int:
         if p % q in non_residues:
             return q
     c, half = 67, (p - 1) // 2  # every c ≤ 66 is a product of residues
-    while pow(c, half, p) != p - 1:
+    while (r := pow(c, half, p)) != p - 1:
+        if r != 1:  # a prime gives ±1; a c sharing a factor with p, neither
+            raise InvalidRangeError(f"p = {p} is not a prime")
         c += 1
     return c
 

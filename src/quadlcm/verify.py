@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from typing import Iterator
 
 from . import asymptotics, discrepancy, orders, primes, roots
 from .dirichlet import LAMBDA, em_series, neg_log_deriv_zeta, zeta_em
@@ -83,19 +84,25 @@ def _require(cond: bool, msg: str) -> None:
         raise AssertionError(msg)
 
 
-def _trial_factor(m: int, trial_limit: int) -> tuple[dict[int, int], int]:
-    """Factor out primes ≤ trial_limit; returns (factors, cofactor)."""
-    fac: dict[int, int] = {}
-    d = 2
-    while d <= trial_limit and d * d <= m:
-        while m % d == 0:
-            fac[d] = fac.get(d, 0) + 1
-            m //= d
-        d += 1 if d == 2 else 2
-    if 1 < m <= trial_limit:
-        fac[m] = fac.get(m, 0) + 1
-        m = 1
-    return fac, m
+def _polynomial_sieve(n: int) -> Iterator[tuple[int, int, int]]:
+    """(i, q, e) for every prime q and i ≤ n with q^e exactly dividing i²+1,
+    from a sieve of a[i] = i²+1 alone (no root extraction, Hensel lift or
+    primality test: nothing shared with `roots` or `primes`).  When the scan
+    reaches i, every prime with a smaller root below i is divided out, so
+    a[i] is 1 or the one prime q whose smaller root is i (two would exceed
+    i²+1); q is then divided out along i + kq and q − i + kq."""
+    a = [i * i + 1 for i in range(n + 1)]
+    for i in range(1, n + 1):
+        q = a[i]
+        if q == 1:
+            continue
+        for start in {i, q - i}:  # one progression for q = 2
+            for j in range(start, n + 1, q):
+                e = 0
+                while a[j] % q == 0:
+                    a[j] //= q
+                    e += 1
+                yield j, q, e
 
 
 def check_sieve_windows(p: VerifyParams) -> str:
@@ -182,10 +189,16 @@ def check_root_pairs(p: VerifyParams) -> str:
     for q, nu in stream:
         _require((nu * nu + 1) % q == 0 and 0 < 2 * nu < q,
                  f"prime_roots gives ν = {nu} for p = {q}, not the smaller root")
+    # a root x ≤ m/2 of a modulus m ≤ cap is an index x ≤ cap/2, so one
+    # sieve to cap/2 lists, for every m, what a scan of all x ≤ m would (x
+    # = m is no root and the roots above m/2 mirror those below it)
+    sieved: dict[tuple[int, int], list[int]] = {}
+    for i, q, e in _polynomial_sieve(cap // 2):
+        for a in range(1, e + 1):
+            if 2 * i <= q**a <= cap:
+                sieved.setdefault((q, a), []).append(i)
     checked = 0
-    for q in primes.iter_primes(0, cap):
-        if q % 4 != 1:
-            continue
+    for q, _ in stream:
         a = 1
         qa = q
         while qa <= cap:
@@ -196,15 +209,13 @@ def check_root_pairs(p: VerifyParams) -> str:
                 prev = roots.roots_mod_prime_power(q, a - 1)
                 reduced = {pair.nu1 % (qa // q), pair.nu2 % (qa // q)}
                 _require(reduced == prev.as_set(), f"lift consistency {q}^{a}")
-            # qa is odd, x = qa is no root (x² + 1 ≡ 1) and (qa − x)² ≡ x², so
-            # the roots above qa/2 mirror those below it; with nu1 + nu2 = qa
-            # this half scan proves what a scan of every x ≤ qa would
-            brute = [x for x in range(1, qa // 2 + 1) if (x * x + 1) % qa == 0]
-            _require(brute == [pair.nu1], f"exhaustive roots {q}^{a}")
+            _require(sieved.pop((q, a), None) == [pair.nu1], f"exhaustive roots {q}^{a}")
             checked += 1
             a += 1
             qa *= q
-    return (f"{checked} prime-power moduli ≤ {cap} match brute-force root scans, "
+    _require(sieved == {(2, 1): [1]},
+             f"sieved moduli the library lacks: {sorted(sieved.keys() - {(2, 1)})[:5]}")
+    return (f"{checked} prime-power moduli ≤ {cap} match a sieve of i²+1, "
             f"{len(stream)} stream roots are the smaller root")
 
 
@@ -285,16 +296,11 @@ def check_two_adic(p: VerifyParams) -> str:
 
 
 def check_high_prime_orders(p: VerifyParams) -> str:
-    # primes above 2n found by factoring the sequence must have alpha = beta
+    # primes above 2n that divide the sequence must have alpha = beta
     bound = 300
-    seen: set[int] = set()
-    for i in range(1, bound + 1):
-        fac, cof = _trial_factor(i * i + 1, 2 * bound)
-        if cof > 1:
-            seen.add(cof)
+    seen = {q for _, q, _ in _polynomial_sieve(bound) if q > 2 * bound}
     _require(seen, "no large primes found factoring the sequence")
     for q in sorted(seen):
-        _require(q > 2 * bound, f"cofactor {q} is not a large prime")
         _require(orders.alpha_exact(q, bound) == orders.beta_exact(q, bound),
                  f"alpha != beta for p={q} > 2n")
     return f"{len(seen)} primes beyond 2n have alpha = beta at n={bound}"
@@ -341,16 +347,10 @@ def check_medium_coefficient_sign(p: VerifyParams) -> str:
         count = len(orders.square_divisor_primes(n))
         cap = 8 * n ** (2 / 3)
         _require(count <= cap, f"bad-prime census {count} > {cap:.0f} at n={n}")
-    # brute comparison at n ≤ 300: factor every i²+1; a cofactor above 2n
-    # is a single prime to the first power, so it can never join the census
+    # brute comparison at n ≤ 300: the sieve factors every i²+1
     n = 300
-    brute: set[int] = set()
-    for i in range(1, n + 1):
-        fac, cof = _trial_factor(i * i + 1, 2 * n)
-        _require(cof == 1 or cof > 2 * n, f"incomplete factorization of {i * i + 1}")
-        for q, e in fac.items():
-            if e >= 2 and q % 4 == 1 and q**3 >= n * n and q <= 2 * n:
-                brute.add(q)
+    brute = {q for _, q, e in _polynomial_sieve(n)
+             if e >= 2 and q % 4 == 1 and q**3 >= n * n and q <= 2 * n}
     _require(sorted(brute) == orders.square_divisor_primes(n), "brute bad primes n=300")
     return "square-divisor censuses match brute force and stay within 8 n^(2/3)"
 

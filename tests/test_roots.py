@@ -1,6 +1,7 @@
 """Square roots of -1 modulo prime powers: the closed form c^((p-1)/4) for a
 non-residue c, plus Hensel lifting, checked against sympy and brute force."""
 
+import signal
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,24 @@ def test_least_non_residue_matches_euler_search():
         assert _least_non_residue(p) == c, p
     # past the reciprocity table: 2, 3, ..., 61 are all residues mod 48473881
     assert _least_non_residue(48473881) == 67
+
+
+@pytest.mark.parametrize("p", [9, 25, 49, 81])
+def test_odd_squares_are_refused_not_looped_on(p):
+    # an odd square is ≡ 1 mod 8 and a residue mod every q ≤ 61, so it
+    # reaches the Euler loop, which must refuse it; the alarm turns a hang
+    # into a failure
+    def hang(signum, frame):
+        raise TimeoutError(f"_sqrt_minus_one_value({p}) still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(InvalidRangeError, match="not a prime"):
+            _sqrt_minus_one_value(p)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @given(prime_one_mod_four(), st.integers(min_value=2, max_value=4))

@@ -2,13 +2,16 @@
 
 import dataclasses
 import os
+import shutil
 import subprocess
 import sys
+from collections import defaultdict
 
 import pytest
+import sympy
 
 import quadlcm
-from quadlcm.verify import CheckResult, run_verify
+from quadlcm.verify import CheckResult, _polynomial_sieve, run_verify
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +123,67 @@ def test_order_rule_check_still_checks_under_python_O():
     detail, debug = proc.stdout.splitlines()
     assert debug == "False"
     assert detail.startswith("log L mismatch at n="), detail
+
+
+def test_polynomial_sieve_factors_like_sympy():
+    n = 2000
+    found = defaultdict(dict)
+    for i, q, e in _polynomial_sieve(n):
+        assert q not in found[i], (i, q)
+        found[i][q] = e
+    assert sorted(found) == list(range(1, n + 1))
+    for i in range(1, n + 1):
+        assert found[i] == sympy.factorint(i * i + 1), i
+
+
+def test_root_sieve_still_checks_under_python_O():
+    # a lift that gives the larger root above modulus 1000 keeps every
+    # congruence, symmetry and lift-consistency clause true, so only the
+    # comparison with the sieve of i²+1 can catch it
+    script = (
+        "from quadlcm import roots, verify\n"
+        "good = roots._lift\n"
+        "def larger(p, nu, pk):\n"
+        "    x = good(p, nu, pk)\n"
+        "    return p * pk - x if p * pk > 1000 else x\n"
+        "roots._lift = larger\n"
+        "try:\n"
+        "    verify.check_root_pairs(verify.QUICK)\n"
+        "    print('passed')\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+        "print(__debug__)\n"
+    )
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, timeout=300, env=env, check=True,
+    )
+    detail, debug = proc.stdout.splitlines()
+    assert debug == "False"
+    assert detail == "exhaustive roots 5^5", detail
+
+
+def test_broken_one_mod_four_sieve_fails_verify_instead_of_hanging(tmp_path):
+    # base primes started at k ≡ 1 instead of k ≡ p mod 4 put odd squares
+    # such as 9 into the 1 mod 4 stream; verify must report, not spin in the
+    # non-residue search
+    package = tmp_path / "quadlcm"
+    shutil.copytree(os.path.dirname(quadlcm.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    source = (package / "primes.py").read_text()
+    assert source.count("(p - k) % step") == 1
+    (package / "primes.py").write_text(source.replace("(p - k) % step", "(1 - k) % step"))
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlcm", "verify", "quick"],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 1, proc.stdout
+    fails = [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+    assert fails[0].startswith("FAIL sieve windows and prime counts"), proc.stdout
+    assert any("is not a prime" in line for line in fails), proc.stdout
 
 
 def test_unknown_level_rejected():
