@@ -12,8 +12,9 @@ Conventions shared by every subcommand:
   --out, 3 when the exact-integer oracle cap is exceeded, 4 on modulus
   overflow,
 * a work ceiling stated in --help refuses an oversize input before any
-  work starts (exit 2): --p-max of constant-b, and the n of lcm, decomp,
-  badprimes and the last residuals grid point (orders.MAX_N),
+  work starts (exit 2): --p-max of constant-b, the n of psi and counts,
+  and the n of lcm, decomp, badprimes and the last residuals grid point
+  (orders.MAX_N),
 * verify prints one PASS/FAIL line per check, or with --json one JSON
   object, and exits 1 when a check fails.
 
@@ -293,7 +294,12 @@ def _flag(*names: str, **kwargs) -> tuple:
 _N = _flag("--n", type=int, required=True)
 # the work ceiling orders.MAX_N of the (p, ν) folds
 _N_FOLD = _flag("--n", type=int, required=True,
-                help="at most 1000000000, about 0.2 µs per unit of n serially")
+                help="at most 1000000000, about 0.15 µs per unit of n serially")
+# the work ceilings primes.PSI_MAX_N and primes.COUNTS_MAX_N
+_N_PSI = _flag("--n", type=int, required=True,
+               help="at most 10000000000, about 20 ns per unit of n")
+_N_COUNTS = _flag("--n", type=int, required=True,
+                  help="at most 50000000000, about 4 ns per unit of n")
 _GRID = _flag("--grid", required=True, help="start:stop:factor")
 _WORKERS = _flag("--workers", type=int, default=1,
                  help="worker processes, capped at the CPU count (default: 1)")
@@ -301,8 +307,8 @@ _LO_HI = [_flag("--lo", type=int, required=True), _flag("--hi", type=int, requir
 
 # build_parser adds --out to every entry.
 COMMANDS = [
-    Command("psi", "primes", cmd_psi, "Chebyshev psi(n) = log lcm(1..n)", [_N]),
-    Command("counts", "primes", cmd_counts, "prime counts pi(n) and pi1(n)", [_N]),
+    Command("psi", "primes", cmd_psi, "Chebyshev psi(n) = log lcm(1..n)", [_N_PSI]),
+    Command("counts", "primes", cmd_counts, "prime counts pi(n) and pi1(n)", [_N_COUNTS]),
     Command("roots", "roots", cmd_roots, "roots of x²+1 over primes in (lo, hi]", _LO_HI),
     Command("orders", "orders", cmd_orders, "alpha/beta order profile of one prime",
             [_flag("--p", type=int, required=True), _N]),

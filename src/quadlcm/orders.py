@@ -18,9 +18,16 @@ p ≡ 3 mod 4 divides no i²+1) instead of factoring n quadratic values.
 Every order comes from one rule, `_order_counts`: count level 1 from the
 smaller root ν mod p, then lift ν one Hensel step per level and stop at
 the first level whose smaller root exceeds n.  For p ≤ 2n, ν < p/2 ≤ n,
-so level 1 is met and beta ≥ 1.  A p > n never lifts (p² > n²+1), and at
-p ≤ n the first lift screens the prime: only the few hundred that pass
-(581 at n = 10⁷) meet a second level.
+so level 1 is met and beta ≥ 1.  Only a few hundred primes meet a second
+level (581 at n = 10⁷), so the folds take `_order_counts` only at
+p ≤ p0 = ⌊n^0.8⌋ and at the primes of `_square_census`, the p0 < p ≤ n
+whose square divides some i²+1, found from continued fractions without a
+root or a lift (none at n = 10⁷).  Every other prime has beta = 1 and
+alpha = alpha_star = `_level_count` at p: at n = 10⁷ the folds lift 16,823
+of the 635,170 primes.  (log L_n alone could skip the census: at p² > 2n
+each level past the first has one root ≤ n, so alpha − beta =
+alpha_star − 1 whatever beta is.  The ledger and the square-divisor
+census need beta itself.)
 log P_n itself is a closed form,
 2 Re log Γ(n+1+i) − log(π/sinh π), evaluated by Stirling's series in
 the 40-digit decimal CONTEXT, so it costs the same at every n.
@@ -43,7 +50,7 @@ from typing import Callable, Sequence
 
 from .errors import InvalidRangeError, OracleCapError
 # iter_primes is not called here; it stays bound for perfbench/probe.py
-from .primes import DEFAULT_SEGMENT, iter_primes, require_prime
+from .primes import DEFAULT_SEGMENT, _require_within, is_prime, iter_primes, require_prime
 from .roots import _lift, _lifted_root, prime_roots, roots_mod_prime_power
 from .summation import (
     CONTEXT,
@@ -57,9 +64,8 @@ from .summation import (
 ORACLE_CAP_DEFAULT = 5_000
 
 # Work ceiling of the (p, ν) folds (log_lcm_exact, decomposition_report,
-# square_divisor_primes): the serial lcm fold costs about 0.17 us per unit
-# of n at 10^7 (0.15 us at 10^8) in flat memory, so 10^9 takes a few
-# minutes.
+# square_divisor_primes): the serial lcm fold costs about 0.15 us per unit
+# of n at 10^7 and at 10^8 in flat memory, so 10^9 takes a few minutes.
 MAX_N = 10**9
 
 # log_P takes 1 <= n < LOG_P_MAX_N: below it (n+1)² + 1 < 2^1024, so every
@@ -126,34 +132,36 @@ class DecompositionReport:
 
 
 def count_solutions_upto(p: int, a: int, n: int) -> int:
-    """|{1 ≤ i ≤ n : p^a divides i²+1}| for p ≡ 1 mod 4.
-
-    With roots nu1 < nu2 of x² ≡ −1 mod p^a, the solutions ≤ n are
-    nu1, nu2 and their translates by multiples of p^a, giving
-    2 + ⌊(n−nu1)/p^a⌋ + ⌊(n−nu2)/p^a⌋ where the floor rounds toward −∞
-    (each floor is −1 when the root itself exceeds n).  The formula
-    returns 0 on its own once p^a > n²+1.
-    """
+    """|{1 ≤ i ≤ n : p^a divides i²+1}| for p ≡ 1 mod 4: `_level_count`
+    at the smaller root mod p^a.  It is 0 on its own once p^a > n²+1."""
     if n < 1:
         raise InvalidRangeError("count_solutions_upto needs n >= 1")
-    pair = roots_mod_prime_power(p, a)
-    pa = p**a
-    return 2 + (n - pair.nu1) // pa + (n - pair.nu2) // pa
+    return _level_count(n, roots_mod_prime_power(p, a).nu1, p**a)
+
+
+def _level_count(n: int, nu: int, pa: int) -> int:
+    """|{1 ≤ i ≤ n : pa divides i²+1}| for pa = p^a, p ≡ 1 mod 4, from the
+    smaller root ν of x² ≡ −1 mod pa: the one statement of the level count.
+
+    The solutions are ν, pa − ν and their translates by multiples of pa,
+    so the count is 2 + ⌊(n−ν)/pa⌋ + ⌊(n−pa+ν)/pa⌋ with floors toward −∞
+    (each floor is −1 when its root itself exceeds n).
+    """
+    return 2 + (n - nu) // pa + (n - pa + nu) // pa
 
 
 def _order_counts(p: int, n: int, nu: int) -> tuple[int, int, int]:
     """(alpha, beta, alpha_star) for p ≡ 1 mod 4 from its smaller root
     0 < ν < p/2: the one statement of the per-prime order rule.
 
-    Level a counts the i ≤ n with p^a | i²+1: with ν the smaller root
-    mod p^a, 2 + ⌊(n−ν)/p^a⌋ + ⌊(n−p^a+ν)/p^a⌋, met exactly when ν ≤ n.
-    Levels fill contiguously (an i ≤ n with p^(a+1) | i²+1 is a level-a
-    root too), so the count stops at the first level whose smaller root,
-    one `_lift` above the last, exceeds n.
+    Level a, `_level_count` at the smaller root mod p^a, is met exactly
+    when that root is ≤ n.  Levels fill contiguously (an i ≤ n with
+    p^(a+1) | i²+1 is a level-a root too), so the count stops at the first
+    level whose smaller root, one `_lift` above the last, exceeds n.
     """
     if nu > n:
         return 0, 0, 0
-    alpha = alpha_star = 2 + (n - nu) // p + (n - p + nu) // p
+    alpha = alpha_star = _level_count(n, nu, p)
     beta = 1
     pa = p
     # the guard only saves lifts: past it the next smaller root r has
@@ -163,9 +171,43 @@ def _order_counts(p: int, n: int, nu: int) -> tuple[int, int, int]:
         if nu > n:
             break
         pa *= p
-        alpha += 2 + (n - nu) // pa + (n - pa + nu) // pa
+        alpha += _level_count(n, nu, pa)
         beta += 1
     return alpha, beta, alpha_star
+
+
+def _square_census(n: int) -> tuple[int, frozenset[int]]:
+    """(p0, the primes p0 < p ≤ n whose square divides some i²+1 with
+    i ≤ n) for p0 = ⌊n^0.8⌋, found with no root extraction and no lift.
+
+    Such an i has i²+1 = m·p² with m ≤ M = ⌊(n²+1)/(p0+1)²⌋, and m ≥ 2
+    is no square (else i²+1 would be one).  gcd(i, p) = 1, and as i ≥ p
+    and √m > 1, |i/p − √m| = 1/(p(i + p√m)) < 1/(2p²), so by Legendre's
+    theorem i/p is a convergent of √m.  The census walks the continued fraction of
+    each such √m by integer recurrences while the numerator h is ≤ n, and
+    keeps each prime denominator k > p0 with h²+1 = m·k².  A composite
+    k = p·t needs no factoring: p is met itself at m·t² ≤ M.  M follows
+    from p0 exactly, so no choice of p0 loses a prime; n^0.8 keeps both M
+    (630 at n = 10⁷) and the primes below p0, which the folds lift, few.
+    """
+    p0 = int(n**0.8)
+    found = set()
+    for m in range(2, (n * n + 1) // (p0 + 1) ** 2 + 1):
+        a0 = math.isqrt(m)
+        if a0 * a0 == m:
+            continue
+        # √m = [a0; a1, ...] with a_j = ⌊(a0 + P_j)/Q_j⌋; h/k the convergents
+        a, P, Q = a0, 0, 1
+        h, h_prev, k, k_prev = a0, 1, 1, 0
+        while h <= n:
+            if k > p0 and h * h + 1 == m * k * k and is_prime(k):
+                found.add(k)
+            P = a * Q - P
+            Q = (m - P * P) // Q
+            a = (a0 + P) // Q
+            h, h_prev = a * h + h_prev, h
+            k, k_prev = a * k + k_prev, k
+    return p0, frozenset(found)
 
 
 def alpha_exact(p: int, n: int) -> int:
@@ -198,8 +240,7 @@ def order_profile(p: int, n: int) -> OrderProfile:
 
 def require_within_ceiling(n: int) -> None:
     """Raise InvalidRangeError, before any work, for n past MAX_N."""
-    if n > MAX_N:
-        raise InvalidRangeError(f"n must be at most the work ceiling {MAX_N}, got n = {n}")
+    _require_within(n, MAX_N)
 
 
 def _map_blocks(fn: Callable, blocks: Sequence, workers: int) -> list:
@@ -293,26 +334,38 @@ def _log_P_decimal(n: int) -> Decimal:
         )
 
 
-def _blocks(n: int) -> list[tuple[int, int, int]]:
-    """The fixed prime windows (lo, hi] covering (0, 2n], one per segment."""
+def _blocks(n: int) -> list[tuple]:
+    """The fixed prime windows (lo, hi] covering (0, 2n], one per segment,
+    each as the args (lo, hi, n, p0, census) of a block fold, all with the
+    one `_square_census(n)`.
+
+    A block fold takes `_order_counts` only at p ≤ p0 and at the census
+    primes.  Every other p ≤ 2n has ν ≤ n and no second level, so beta = 1
+    and alpha = alpha_star = `_level_count` at p, with no lift.
+    """
     hi = 2 * n
+    census = _square_census(n)
     return [
-        (k, min(k + DEFAULT_SEGMENT, hi), n) for k in range(0, hi, DEFAULT_SEGMENT)
+        (k, min(k + DEFAULT_SEGMENT, hi), n, *census)
+        for k in range(0, hi, DEFAULT_SEGMENT)
     ]
 
 
-def _correction_block(args: tuple[int, int, int]) -> float:
+def _correction_block(args: tuple) -> float:
     """fsum of the nonzero (alpha − beta) log p over primes p in (lo, hi],
-    each from `_order_counts`.  p = 2 is the caller's.  The terms reach
-    fsum as a stream, so a block never keeps them in a list; fsum rounds
-    their exact sum once, whatever their order."""
-    lo, hi, n = args
+    the orders taken as `_blocks` states.  p = 2 is the caller's.  The
+    terms reach fsum as a stream, so a block never keeps them in a list;
+    fsum rounds their exact sum once, whatever their order."""
+    lo, hi, n, p0, census = args
 
     def terms():
         log = math.log
         for p, nu in prime_roots(lo, hi):
-            alpha, beta, _ = _order_counts(p, n, nu)
-            d = alpha - beta
+            if p <= p0 or p in census:
+                alpha, beta, _ = _order_counts(p, n, nu)
+                d = alpha - beta
+            else:
+                d = _level_count(n, nu, p) - 1
             if d:
                 yield d * log(p)
 
@@ -323,15 +376,16 @@ def _correction_partials(n: int, workers: int) -> list[float]:
     return _map_blocks(_correction_block, _blocks(n), workers)
 
 
-def _ledger_block(args: tuple[int, int, int]):
-    """Accumulate every per-prime piece of the decomposition over (lo, hi].
+def _ledger_block(args: tuple):
+    """Accumulate every per-prime piece of the decomposition over (lo, hi],
+    the orders taken as `_blocks` states.
 
     Returns (small_sum, medium_high, beta_star_sum, alpha_star_sum,
     alpha_star_reference, identity_residue, bad_primes).  Only the stream's
     p ≡ 1 mod 4 contribute; the quadratic-character weight in the
     alpha_star reference kills p ≡ 3 mod 4 and p = 2 is the caller's.
     """
-    lo, hi, n = args
+    lo, hi, n, p0, census = args
     nn = n * n
     small: list[float] = []
     medhigh: list[float] = []
@@ -341,7 +395,11 @@ def _ledger_block(args: tuple[int, int, int]):
     identity = 0
     bad: list[int] = []
     for p, nu in prime_roots(lo, hi):
-        alpha, beta, a_st = _order_counts(p, n, nu)
+        if p <= p0 or p in census:
+            alpha, beta, a_st = _order_counts(p, n, nu)
+        else:
+            alpha = a_st = _level_count(n, nu, p)
+            beta = 1
         lp = math.log(p)
         diff = alpha - beta
         if p * p * p < nn:
@@ -411,18 +469,21 @@ def square_divisor_primes(n: int) -> list[int]:
     """Medium-window primes whose square divides some i²+1 with i ≤ n.
 
     These are exactly the p ≡ 1 mod 4 with n^(2/3) ≤ p ≤ 2n and beta ≥ 2,
-    ascending.  Only p ≤ n can qualify (p² ≤ n²+1 < (n+1)²), so the
-    stream stops at n.
+    ascending.  Only p ≤ n can qualify (p² ≤ n²+1 < (n+1)²): the stream
+    stops at min(n, p0), and `_square_census` gives those above p0, all
+    past n^(2/3).
     """
     if n < 1:
         raise InvalidRangeError("square_divisor_primes needs n >= 1")
     require_within_ceiling(n)
     nn = n * n
-    return [
+    p0, census = _square_census(n)
+    lifted = (
         p
-        for p, nu in prime_roots(1, n)
+        for p, nu in prime_roots(1, min(n, p0))
         if p * p * p >= nn and _order_counts(p, n, nu)[1] >= 2
-    ]
+    )
+    return [*lifted, *sorted(census)]
 
 
 def decomposition_report(n: int, workers: int = 1) -> DecompositionReport:

@@ -201,16 +201,17 @@ def check_root_pairs(p: VerifyParams) -> str:
     for q, _ in stream:
         a = 1
         qa = q
+        prev = None  # the pair one level down, for lift consistency
         while qa <= cap:
             pair = roots.roots_mod_prime_power(q, a)
             _require((pair.nu1 * pair.nu1 + 1) % qa == 0, f"congruence {q}^{a}")
             _require(pair.nu1 + pair.nu2 == qa, f"pair symmetry {q}^{a}")
-            if a > 1:
-                prev = roots.roots_mod_prime_power(q, a - 1)
+            if prev is not None:
                 reduced = {pair.nu1 % (qa // q), pair.nu2 % (qa // q)}
                 _require(reduced == prev.as_set(), f"lift consistency {q}^{a}")
             _require(sieved.pop((q, a), None) == [pair.nu1], f"exhaustive roots {q}^{a}")
             checked += 1
+            prev = pair
             a += 1
             qa *= q
     _require(sieved == {(2, 1): [1]},
@@ -347,12 +348,18 @@ def check_medium_coefficient_sign(p: VerifyParams) -> str:
         count = len(orders.square_divisor_primes(n))
         cap = 8 * n ** (2 / 3)
         _require(count <= cap, f"bad-prime census {count} > {cap:.0f} at n={n}")
+        # the continued-fraction census against a Hensel lift at every prime
+        p0, census = orders._square_census(n)
+        lifted = {q for q, nu in roots.prime_roots(p0, n)
+                  if orders._order_counts(q, n, nu)[1] >= 2}
+        _require(census == lifted, f"square census differs from the lift rule at n={n}")
     # brute comparison at n ≤ 300: the sieve factors every i²+1
     n = 300
     brute = {q for _, q, e in _polynomial_sieve(n)
              if e >= 2 and q % 4 == 1 and q**3 >= n * n and q <= 2 * n}
     _require(sorted(brute) == orders.square_divisor_primes(n), "brute bad primes n=300")
-    return "square-divisor censuses match brute force and stay within 8 n^(2/3)"
+    return ("square-divisor censuses match brute force and the lift rule, "
+            "and stay within 8 n^(2/3)")
 
 
 def check_order_envelope(p: VerifyParams) -> str:

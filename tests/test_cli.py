@@ -222,6 +222,31 @@ def test_lcm_refuses_past_the_ceiling_at_once():
     )
 
 
+def test_psi_and_counts_help_state_their_ceilings(capsys):
+    from quadlcm.primes import COUNTS_MAX_N, PSI_MAX_N
+
+    for command, ceiling in (("psi", PSI_MAX_N), ("counts", COUNTS_MAX_N)):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert f"--n N at most {ceiling}," in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("command", ["psi", "counts"])
+def test_psi_and_counts_refuse_past_their_ceilings_at_once(command):
+    # a separate process, so work started before the refusal fails on the timeout
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlcm", command, "--n", "1000000000000"],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    ceiling = {"psi": 10**10, "counts": 5 * 10**10}[command]
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: n must be at most the work ceiling {ceiling}, got n = 1000000000000\n"
+    )
+
+
 @pytest.mark.parametrize("p", [9, 1, 21, 4, 0, -3])
 def test_orders_rejects_non_prime_p(p):
     # a separate process, so a hang in the root search fails on the timeout

@@ -25,6 +25,7 @@ from quadlcm.orders import (
     _log_P_decimal,
     _map_blocks,
     _order_counts,
+    _square_census,
     alpha_exact,
     beta_exact,
     count_solutions_upto,
@@ -182,11 +183,12 @@ def test_fold_coefficient_matches_order_profile_exhaustively():
     # a window (p − 1, p] holds p alone, and fsum of one term is the term,
     # so the fold's value there is its coefficient times log p, exactly
     for n in range(1, 301):
+        census = _square_census(n)
         for p in iter_primes(0, 2 * n):
             if p % 4 != 1:
                 continue
             prof = order_profile(p, n)
-            got = _correction_block((p - 1, p, n))
+            got = _correction_block((p - 1, p, n, *census))
             assert got == (prof.alpha - prof.beta) * math.log(p), (p, n)
 
 
@@ -247,6 +249,64 @@ def test_order_rule_matches_polynomial_sieve():
         for p, nu in prime_roots(0, 4 * n):
             assert _order_counts(p, n, nu) == found.get(p, (0, 0, 0)), (p, n)
     assert found[5][1] >= 3 and found[13][1] >= 3
+
+
+def test_square_census_matches_the_lift_rule():
+    # the census finds its primes from continued fractions alone; the lift
+    # rule takes a Hensel step at every prime of (p0, n]
+    for n in range(1, 2001):
+        p0, census = _square_census(n)
+        assert p0 == int(n**0.8), n
+        lifted = {p for p, nu in prime_roots(p0, n) if _order_counts(p, n, nu)[1] >= 2}
+        assert census == lifted, n
+
+
+def test_square_census_matches_polynomial_sieve():
+    n = 10**5
+    p0, census = _square_census(n)
+    found = sieve_orders(n)
+    assert census == {q for q, (_, beta, _) in found.items() if beta >= 2 and p0 < q <= n}
+
+
+def test_square_census_is_pinned():
+    # 8119² + 1 = 2 · 5741²
+    assert _square_census(10**4) == (1584, frozenset({5741}))
+    assert _square_census(10**5)[1] == frozenset({10301, 33461})
+
+
+def test_folds_take_order_counts_only_below_p0_and_at_the_census(monkeypatch):
+    n = 10**5
+    p0, census = _square_census(n)
+    seen = []
+    counts = orders._order_counts
+
+    def recorded(p, n, nu):
+        seen.append(p)
+        return counts(p, n, nu)
+
+    monkeypatch.setattr(orders, "_order_counts", recorded)
+    log_lcm_exact(n)
+    lifted = [p for p, _ in prime_roots(0, p0)]
+    assert seen == [*lifted, *sorted(census)]
+    assert len(seen) == 609 + 2
+
+
+def test_the_ledger_and_square_divisor_census_read_the_census(monkeypatch):
+    # An empty census takes 10301 and 33461 at beta = 1.  log L_n cannot
+    # tell: at p² > 2n every level past the first has one root ≤ n, so it
+    # adds one to alpha and one to beta, and alpha − beta = alpha_star − 1
+    # whatever beta is.  The ledger's bad primes and `square_divisor_primes`
+    # read beta itself.  (correction, log_L) was pinned before the census.
+    lcm_pin = (957900.5334763639, 1144699.2121582786)
+    without = (2689, 2909, 2917, 3137, 3793, 4289, 5741)
+    ev = log_lcm_exact(10**5)
+    assert (ev.correction, ev.log_L) == lcm_pin
+    assert decomposition_report(10**5).bad_primes == (*without, 10301, 33461)
+    monkeypatch.setattr(orders, "_square_census", lambda n: (int(n**0.8), frozenset()))
+    ev = log_lcm_exact(10**5)
+    assert (ev.correction, ev.log_L) == lcm_pin
+    assert decomposition_report(10**5).bad_primes == without
+    assert square_divisor_primes(10**5) == list(without)
 
 
 def test_bruteforce_cap():

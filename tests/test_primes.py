@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlcm.errors import InvalidRangeError
+from quadlcm import primes
 from quadlcm.primes import (
+    COUNTS_MAX_N,
     DEFAULT_SEGMENT,
+    PSI_MAX_N,
     _sieve_window,
     _small_primes,
     chebyshev_psi,
@@ -197,3 +200,15 @@ def test_one_mask_is_alive_at_a_time():
     assert _traced_peak(lambda: deque(iter_primes(0, hi, segment), 0)) < 1.1 * one
     assert _traced_peak(lambda: deque(iter_primes_one_mod_four(0, hi, segment), 0)) < 0.6 * one
     assert _traced_peak(lambda: count_primes(0, hi, segment)) < 1.1 * one
+
+
+def test_psi_and_counts_refuse_n_past_their_ceilings_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started past the ceiling")
+
+    for name in ("_counts", "iter_primes", "_small_primes"):
+        monkeypatch.setattr(primes, name, refuse)
+    for fn, ceiling in ((chebyshev_psi, PSI_MAX_N), (prime_counts, COUNTS_MAX_N)):
+        message = f"at most the work ceiling {ceiling}, got n = {ceiling + 1}"
+        with pytest.raises(InvalidRangeError, match=message):
+            fn(ceiling + 1)
