@@ -15,19 +15,18 @@ The central computational fact: alpha = beta for every prime p > 2n, so
 is exact, and the right side is one fold over the (p, ν) stream of
 `roots.prime_roots` up to 2n (the p ≡ 1 mod 4; p = 2 is a closed form and
 p ≡ 3 mod 4 divides no i²+1) instead of factoring n quadratic values.
-Every order comes from one rule, `_order_counts`: count level 1 from the
-smaller root ν mod p, then lift ν one Hensel step per level and stop at
-the first level whose smaller root exceeds n.  For p ≤ 2n, ν < p/2 ≤ n,
-so level 1 is met and beta ≥ 1.  Only a few hundred primes meet a second
-level (581 at n = 10⁷), so the folds take `_order_counts` only at
-p ≤ p0 = ⌊n^0.8⌋ and at the primes of `_square_census`, the p0 < p ≤ n
-whose square divides some i²+1, found from continued fractions without a
-root or a lift (none at n = 10⁷).  Every other prime has beta = 1 and
-alpha = alpha_star = `_level_count` at p: at n = 10⁷ the folds lift 16,823
-of the 635,170 primes.  (log L_n alone could skip the census: at p² > 2n
-each level past the first has one root ≤ n, so alpha − beta =
-alpha_star − 1 whatever beta is.  The ledger and the square-divisor
-census need beta itself.)
+A level q = p^a is met when its smaller root ν_q < q/2 is ≤ n, as every
+q ≤ 2n is; a q > 2n has at most one root ≤ n, which adds one to alpha
+and one to beta.  So alpha − beta = Σ_{q = p^a ≤ 2n} (N_q − 1) with
+N_q = `_level_count(n, ν_q, q)`, and the lcm fold lifts only p ≤ √(2n).
+Beta itself is read only by `order_profile`, the ledger and
+`square_divisor_primes`, through `_order_counts`: count level 1 from ν,
+lift one Hensel step per level and stop at the first level whose smaller
+root exceeds n.  Only a few hundred primes meet a second level (581 at
+n = 10⁷), so the ledger and `square_divisor_primes` take it only at
+p ≤ p0 = ⌊n^0.8⌋ and at the primes of `_square_census` (the p0 < p ≤ n
+whose square divides some i²+1, from continued fractions, none at
+n = 10⁷); every other prime has beta = 1 and alpha = alpha_star = N_p.
 log P_n itself is a closed form,
 2 Re log Γ(n+1+i) − log(π/sinh π), evaluated by Stirling's series in
 the 40-digit decimal CONTEXT, so it costs the same at every n.
@@ -113,6 +112,9 @@ class DecompositionReport:
     rearranged as (beta − beta_star − alpha + alpha_star) + beta_star
     − alpha_star.  identity_residue is the summed absolute integer
     mismatch of that rearrangement (an algebraic identity, so 0).
+    medium_high_sum is 0 too: a medium prime has p² > 2n (as p ≥ n^(2/3)
+    for n > 8, as p ≥ 5 for n ≤ 12), so its levels past the first add
+    as much to beta as to alpha.
 
     beta_star_reference = n and alpha_star_reference
     = Σ_medium 2 n log p / (p − 1) are the first-order predictions the
@@ -188,7 +190,8 @@ def _square_census(n: int) -> tuple[int, frozenset[int]]:
     keeps each prime denominator k > p0 with h²+1 = m·k².  A composite
     k = p·t needs no factoring: p is met itself at m·t² ≤ M.  M follows
     from p0 exactly, so no choice of p0 loses a prime; n^0.8 keeps both M
-    (630 at n = 10⁷) and the primes below p0, which the folds lift, few.
+    (630 at n = 10⁷) and the primes below p0, which the ledger and
+    `square_divisor_primes` lift, few.
     """
     p0 = int(n**0.8)
     found = set()
@@ -336,36 +339,29 @@ def _log_P_decimal(n: int) -> Decimal:
 
 def _blocks(n: int) -> list[tuple]:
     """The fixed prime windows (lo, hi] covering (0, 2n], one per segment,
-    each as the args (lo, hi, n, p0, census) of a block fold, all with the
-    one `_square_census(n)`.
-
-    A block fold takes `_order_counts` only at p ≤ p0 and at the census
-    primes.  Every other p ≤ 2n has ν ≤ n and no second level, so beta = 1
-    and alpha = alpha_star = `_level_count` at p, with no lift.
-    """
+    each as the args (lo, hi, n) of a block fold."""
     hi = 2 * n
-    census = _square_census(n)
-    return [
-        (k, min(k + DEFAULT_SEGMENT, hi), n, *census)
-        for k in range(0, hi, DEFAULT_SEGMENT)
-    ]
+    return [(k, min(k + DEFAULT_SEGMENT, hi), n) for k in range(0, hi, DEFAULT_SEGMENT)]
 
 
 def _correction_block(args: tuple) -> float:
     """fsum of the nonzero (alpha − beta) log p over primes p in (lo, hi],
-    the orders taken as `_blocks` states.  p = 2 is the caller's.  The
-    terms reach fsum as a stream, so a block never keeps them in a list;
-    fsum rounds their exact sum once, whatever their order."""
-    lo, hi, n, p0, census = args
+    each coefficient the level sum Σ_{q = p^a ≤ 2n} (N_q − 1) of the module
+    docstring, one integer per prime.  p = 2 is the caller's.  The terms
+    reach fsum as a stream, so a block never keeps them in a list; fsum
+    rounds their exact sum once, whatever their order."""
+    lo, hi, n = args
+    top = 2 * n
 
     def terms():
         log = math.log
         for p, nu in prime_roots(lo, hi):
-            if p <= p0 or p in census:
-                alpha, beta, _ = _order_counts(p, n, nu)
-                d = alpha - beta
-            else:
-                d = _level_count(n, nu, p) - 1
+            d = _level_count(n, nu, p) - 1
+            pa = p
+            while pa * p <= top:
+                nu = _lift(p, nu, pa)
+                pa *= p
+                d += _level_count(n, nu, pa) - 1
             if d:
                 yield d * log(p)
 
@@ -378,7 +374,7 @@ def _correction_partials(n: int, workers: int) -> list[float]:
 
 def _ledger_block(args: tuple):
     """Accumulate every per-prime piece of the decomposition over (lo, hi],
-    the orders taken as `_blocks` states.
+    the orders taken as the module docstring states.
 
     Returns (small_sum, medium_high, beta_star_sum, alpha_star_sum,
     alpha_star_reference, identity_residue, bad_primes).  Only the stream's
@@ -426,7 +422,8 @@ def _ledger_block(args: tuple):
 
 
 def _ledger_partials(n: int, workers: int) -> list:
-    return _map_blocks(_ledger_block, _blocks(n), workers)
+    census = _square_census(n)
+    return _map_blocks(_ledger_block, [(*b, *census) for b in _blocks(n)], workers)
 
 
 def _two_term(n: int) -> float:

@@ -65,7 +65,7 @@ QUICK = VerifyParams(
 
 FULL = VerifyParams(
     oracle_cap=2_000,
-    root_modulus_cap=10**5,
+    root_modulus_cap=10**6,
     grid_max=10**7,
     decomposition_max=10**5,
     discrepancy_max=10**6,
@@ -197,23 +197,19 @@ def check_root_pairs(p: VerifyParams) -> str:
         for a in range(1, e + 1):
             if 2 * i <= q**a <= cap:
                 sieved.setdefault((q, a), []).append(i)
+    # one `_lift` chain per stream root up the levels q^a ≤ cap
     checked = 0
-    for q, _ in stream:
-        a = 1
-        qa = q
-        prev = None  # the pair one level down, for lift consistency
-        while qa <= cap:
-            pair = roots.roots_mod_prime_power(q, a)
-            _require((pair.nu1 * pair.nu1 + 1) % qa == 0, f"congruence {q}^{a}")
-            _require(pair.nu1 + pair.nu2 == qa, f"pair symmetry {q}^{a}")
-            if prev is not None:
-                reduced = {pair.nu1 % (qa // q), pair.nu2 % (qa // q)}
-                _require(reduced == prev.as_set(), f"lift consistency {q}^{a}")
-            _require(sieved.pop((q, a), None) == [pair.nu1], f"exhaustive roots {q}^{a}")
+    for q, nu in stream:
+        a, qa = 1, q
+        while True:
+            _require((nu * nu + 1) % qa == 0, f"congruence {q}^{a}")
+            _require(sieved.pop((q, a), None) == [nu], f"exhaustive roots {q}^{a}")
             checked += 1
-            prev = pair
-            a += 1
-            qa *= q
+            if qa * q > cap:
+                break
+            lifted = roots._lift(q, nu, qa)
+            _require(lifted % qa in (nu, qa - nu), f"lift consistency {q}^{a + 1}")
+            a, qa, nu = a + 1, qa * q, lifted
     _require(sieved == {(2, 1): [1]},
              f"sieved moduli the library lacks: {sorted(sieved.keys() - {(2, 1)})[:5]}")
     return (f"{checked} prime-power moduli ≤ {cap} match a sieve of i²+1, "

@@ -181,14 +181,16 @@ def test_level_one_rule_above_n():
 
 def test_fold_coefficient_matches_order_profile_exhaustively():
     # a window (p − 1, p] holds p alone, and fsum of one term is the term,
-    # so the fold's value there is its coefficient times log p, exactly
-    for n in range(1, 301):
-        census = _square_census(n)
-        for p in iter_primes(0, 2 * n):
+    # so the fold's value there is its coefficient times log p, exactly.
+    # At 10⁵ only the primes p ≤ √(2n) lift, so only they are compared.
+    cases = [(n, iter_primes(0, 2 * n)) for n in range(1, 301)]
+    cases.append((10**5, iter_primes(0, math.isqrt(2 * 10**5))))
+    for n, ps in cases:
+        for p in ps:
             if p % 4 != 1:
                 continue
             prof = order_profile(p, n)
-            got = _correction_block((p - 1, p, n, *census))
+            got = _correction_block((p - 1, p, n))
             assert got == (prof.alpha - prof.beta) * math.log(p), (p, n)
 
 
@@ -274,7 +276,19 @@ def test_square_census_is_pinned():
     assert _square_census(10**5)[1] == frozenset({10301, 33461})
 
 
+def test_log_lcm_exact_reads_neither_order_counts_nor_the_census(monkeypatch):
+    # the lcm fold sums N_q − 1 over the levels q ≤ 2n; beta is never read
+    def refuse(*args):
+        raise AssertionError("the lcm path read beta")
+
+    monkeypatch.setattr(orders, "_order_counts", refuse)
+    monkeypatch.setattr(orders, "_square_census", refuse)
+    ev = log_lcm_exact(10**5)
+    assert (ev.correction, ev.log_L) == (957900.5334763639, 1144699.2121582786)
+
+
 def test_folds_take_order_counts_only_below_p0_and_at_the_census(monkeypatch):
+    # the ledger fold; the lcm fold never calls `_order_counts` (above)
     n = 10**5
     p0, census = _square_census(n)
     seen = []
@@ -285,10 +299,17 @@ def test_folds_take_order_counts_only_below_p0_and_at_the_census(monkeypatch):
         return counts(p, n, nu)
 
     monkeypatch.setattr(orders, "_order_counts", recorded)
-    log_lcm_exact(n)
+    decomposition_report(n)
     lifted = [p for p, _ in prime_roots(0, p0)]
     assert seen == [*lifted, *sorted(census)]
     assert len(seen) == 609 + 2
+
+
+def test_no_medium_prime_meets_a_second_level():
+    # every medium prime has p² > 2n (p ≥ n^(2/3) for n > 8, p ≥ 5 for
+    # n ≤ 12), so its coefficient is N_p − 1 = alpha_star − beta_star
+    for n in (*range(2, 2001), 10**5):
+        assert decomposition_report(n).medium_high_sum == 0.0, n
 
 
 def test_the_ledger_and_square_divisor_census_read_the_census(monkeypatch):

@@ -99,19 +99,31 @@ def test_stream_checks_still_check_under_python_O():
 
 def test_order_rule_check_still_checks_under_python_O():
     # an order rule that never counts past level 1 (beta capped at 1,
-    # alpha = alpha_star) must fail the lcm oracle with asserts stripped
+    # alpha = alpha_star) must fail the floor-semantics check, and an lcm
+    # fold that never counts past level 1 the lcm oracle, with asserts
+    # stripped
     script = (
-        "from quadlcm import orders, verify\n"
+        "import math\n"
+        "from quadlcm import orders, roots, verify\n"
+        "def detail(check):\n"
+        "    try:\n"
+        "        check(verify.QUICK)\n"
+        "    except AssertionError as exc:\n"
+        "        return str(exc)\n"
+        "    return 'passed'\n"
         "good = orders._order_counts\n"
         "def level_one(p, n, nu):\n"
         "    alpha, beta, alpha_star = good(p, n, nu)\n"
         "    return alpha_star, min(beta, 1), alpha_star\n"
         "orders._order_counts = level_one\n"
-        "try:\n"
-        "    verify.check_lcm_oracle(verify.QUICK)\n"
-        "    print('passed')\n"
-        "except AssertionError as exc:\n"
-        "    print(exc)\n"
+        "print(detail(verify.check_count_solutions_upto))\n"
+        "orders._order_counts = good\n"
+        "def level_one_fold(args):\n"
+        "    lo, hi, n = args\n"
+        "    return math.fsum((orders._level_count(n, nu, p) - 1) * math.log(p)\n"
+        "                     for p, nu in roots.prime_roots(lo, hi))\n"
+        "orders._correction_block = level_one_fold\n"
+        "print(detail(verify.check_lcm_oracle))\n"
         "print(__debug__)\n"
     )
     src = os.path.dirname(os.path.dirname(quadlcm.__file__))
@@ -120,9 +132,10 @@ def test_order_rule_check_still_checks_under_python_O():
         [sys.executable, "-O", "-c", script],
         capture_output=True, text=True, timeout=300, env=env, check=True,
     )
-    detail, debug = proc.stdout.splitlines()
+    counts, fold, debug = proc.stdout.splitlines()
     assert debug == "False"
-    assert detail.startswith("log L mismatch at n="), detail
+    assert counts == "alpha_exact examples", counts
+    assert fold.startswith("log L mismatch at n="), fold
 
 
 def test_polynomial_sieve_factors_like_sympy():
@@ -138,7 +151,7 @@ def test_polynomial_sieve_factors_like_sympy():
 
 def test_root_sieve_still_checks_under_python_O():
     # a lift that gives the larger root above modulus 1000 keeps every
-    # congruence, symmetry and lift-consistency clause true, so only the
+    # congruence and lift-consistency clause true, so only the
     # comparison with the sieve of i²+1 can catch it
     script = (
         "from quadlcm import roots, verify\n"
