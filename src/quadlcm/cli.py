@@ -13,8 +13,8 @@ Conventions shared by every subcommand:
   overflow,
 * a work ceiling stated in --help refuses an oversize input before any
   work starts (exit 2): --p-max of constant-b, the n of psi and counts,
-  and the n of lcm, decomp, badprimes and the last residuals grid point
-  (orders.MAX_N),
+  the n of lcm, decomp, badprimes and the last residuals grid point
+  (orders.MAX_N), and the window of roots,
 * verify prints one PASS/FAIL line per check, or with --json one JSON
   object, and exits 1 when a check fails.
 
@@ -303,13 +303,19 @@ _N_COUNTS = _flag("--n", type=int, required=True,
 _GRID = _flag("--grid", required=True, help="start:stop:factor")
 _WORKERS = _flag("--workers", type=int, default=1,
                  help="worker processes, capped at the CPU count (default: 1)")
-_LO_HI = [_flag("--lo", type=int, required=True), _flag("--hi", type=int, required=True)]
+_LO = _flag("--lo", type=int, required=True)
+_LO_HI = [_LO, _flag("--hi", type=int, required=True)]
+# the work ceilings roots.ROOTS_MAX_HI and roots.ROOTS_MAX_WIDTH
+_LO_HI_ROOTS = [_LO, _flag("--hi", type=int, required=True,
+                           help="at most 1000000000000 and at most --lo + 4000000, "
+                                "about 5 s and 100 MB at either ceiling")]
 
 # build_parser adds --out to every entry.
 COMMANDS = [
     Command("psi", "primes", cmd_psi, "Chebyshev psi(n) = log lcm(1..n)", [_N_PSI]),
     Command("counts", "primes", cmd_counts, "prime counts pi(n) and pi1(n)", [_N_COUNTS]),
-    Command("roots", "roots", cmd_roots, "roots of x²+1 over primes in (lo, hi]", _LO_HI),
+    Command("roots", "roots", cmd_roots, "roots of x²+1 over primes in (lo, hi]",
+            _LO_HI_ROOTS),
     Command("orders", "orders", cmd_orders, "alpha/beta order profile of one prime",
             [_flag("--p", type=int, required=True), _N]),
     Command("lcm", "orders", cmd_lcm, "exact log L_n via the prime-order correction",

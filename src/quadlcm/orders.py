@@ -377,8 +377,9 @@ def _ledger_block(args: tuple):
     the orders taken as the module docstring states.
 
     Returns (small_sum, medium_high, beta_star_sum, alpha_star_sum,
-    alpha_star_reference, identity_residue, bad_primes).  Only the stream's
-    p ≡ 1 mod 4 contribute; the quadratic-character weight in the
+    alpha_star_reference, identity_residue, bad_primes), the bad primes
+    sorted, as the stream gives a block in no fixed order.  Only the
+    stream's p ≡ 1 mod 4 contribute; the quadratic-character weight in the
     alpha_star reference kills p ≡ 3 mod 4 and p = 2 is the caller's.
     """
     lo, hi, n, p0, census = args
@@ -417,7 +418,7 @@ def _ledger_block(args: tuple):
         math.fsum(astar),
         math.fsum(aref),
         identity,
-        bad,
+        sorted(bad),
     )
 
 
@@ -480,7 +481,7 @@ def square_divisor_primes(n: int) -> list[int]:
         for p, nu in prime_roots(1, min(n, p0))
         if p * p * p >= nn and _order_counts(p, n, nu)[1] >= 2
     )
-    return [*lifted, *sorted(census)]
+    return [*sorted(lifted), *sorted(census)]
 
 
 def decomposition_report(n: int, workers: int = 1) -> DecompositionReport:

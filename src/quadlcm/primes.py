@@ -10,8 +10,9 @@ Python-level loop over its slots.  The odd mask holds one byte per odd
 number: `iter_primes` compresses the odd numbers by it, and `count_primes`,
 `pi1_range` and `prime_counts` count its set bytes and those of its 1 mod 4
 stride.  The 1 mod 4 mask holds one byte per number ≡ 1 mod 4, half as
-many: `iter_primes_one_mod_four` compresses those numbers by it, so the
-(p, ν) stream and every fold over it hold a quarter of the window.  A
+many: `iter_primes_one_mod_four` compresses those numbers by it, and the
+(p, ν) stream of `roots` gathers it at sums of two squares, so both hold a
+quarter of the window.  A
 segment's mask is freed before the next segment is sieved, so one is alive
 at a time.
 """
@@ -183,10 +184,13 @@ def require_prime(p: int) -> None:
         raise InvalidRangeError(f"p = {p} is not a prime")
 
 
-def _require_within(n: int, ceiling: int) -> None:
-    """Raise InvalidRangeError, before any work, for n past a work ceiling."""
+def _require_within(n: int, ceiling: int, name: str = "n") -> None:
+    """Raise InvalidRangeError, before any work, for n (called name in the
+    message) past a work ceiling."""
     if n > ceiling:
-        raise InvalidRangeError(f"n must be at most the work ceiling {ceiling}, got n = {n}")
+        raise InvalidRangeError(
+            f"{name} must be at most the work ceiling {ceiling}, got {name} = {n}"
+        )
 
 
 def prime_counts(n: int) -> PrimeCounts:

@@ -183,7 +183,7 @@ def check_root_pairs(p: VerifyParams) -> str:
     _require(list(roots.root_stream(5, 12)) == [], "root_stream (5,12]")
 
     cap = p.root_modulus_cap
-    stream = list(roots.prime_roots(0, cap))
+    stream = sorted(roots.prime_roots(0, cap))
     _require([q for q, _ in stream] == [q for q in primes.iter_primes(0, cap) if q % 4 == 1],
              f"prime_roots primes differ from the p ≡ 1 mod 4 up to {cap}")
     for q, nu in stream:

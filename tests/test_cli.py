@@ -247,6 +247,34 @@ def test_psi_and_counts_refuse_past_their_ceilings_at_once(command):
     )
 
 
+def test_roots_help_states_its_ceilings(capsys):
+    from quadlcm.roots import ROOTS_MAX_HI, ROOTS_MAX_WIDTH
+
+    with pytest.raises(SystemExit):
+        cli.main(["roots", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"at most {ROOTS_MAX_HI} and at most --lo + {ROOTS_MAX_WIDTH}," in text
+
+
+@pytest.mark.parametrize(
+    "lo, hi, refusal",
+    [
+        (0, 10**13, "hi must be at most the work ceiling 1000000000000, got hi = 10000000000000"),
+        (10**6, 10**8, "hi - lo must be at most the work ceiling 4000000, got hi - lo = 99000000"),
+    ],
+)
+def test_roots_refuses_past_its_ceilings_at_once(lo, hi, refusal):
+    # a separate process, so work started before the refusal fails on the timeout
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlcm", "roots", "--lo", str(lo), "--hi", str(hi)],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"error: {refusal}\n")
+
+
 @pytest.mark.parametrize("p", [9, 1, 21, 4, 0, -3])
 def test_orders_rejects_non_prime_p(p):
     # a separate process, so a hang in the root search fails on the timeout

@@ -1,6 +1,8 @@
 """Square roots of -1 modulo prime powers: the closed form c^((p-1)/4) for a
-non-residue c, plus Hensel lifting, checked against sympy and brute force."""
+non-residue c, the two-square (p, nu) stream held to it, plus Hensel
+lifting, checked against sympy and brute force."""
 
+import random
 import signal
 from fractions import Fraction
 
@@ -10,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadlcm.errors import InvalidRangeError, NotOneModFourError, RangeOverflowError
-from quadlcm.primes import iter_primes
+from quadlcm.primes import DEFAULT_SEGMENT, iter_primes
 from quadlcm.roots import (
     _NON_RESIDUE_TABLE,
     RootPair,
@@ -214,10 +216,36 @@ def test_kernel_gives_the_smaller_root_for_every_prime_below_a_million():
 
 def test_prime_roots_holds_only_primes_one_mod_four():
     for lo, hi in ((0, 1), (0, 2), (0, 5), (4, 5), (5, 13), (0, 10**4)):
-        pairs = list(prime_roots(lo, hi))
+        pairs = sorted(prime_roots(lo, hi))
         assert [p for p, _ in pairs] == [p for p in iter_primes(lo, hi) if p % 4 == 1]
         assert all(nu == _sqrt_minus_one_value(p) for p, nu in pairs)
     with pytest.raises(InvalidRangeError):
         prime_roots(10, 5)
     with pytest.raises(InvalidRangeError):
         prime_roots(-1, 5)
+
+
+def _two_square_windows():
+    yield 0, 10**6
+    for k in (1, 2):  # the seams of the segments of a window from 0
+        yield k * DEFAULT_SEGMENT - 3, k * DEFAULT_SEGMENT + 3
+    yield 0, 2 * DEFAULT_SEGMENT + 3
+    yield from ((m - 1, m) for m in range(1, 2001))
+    yield from (
+        (0, 0), (0, 1), (0, 4), (3, 4), (4, 5), (0, 5), (5, 13), (0, 100),
+        (0, 10**5), (12345, 67890), (10**6, 3 * 10**6), (2**21, 2**22),
+    )
+    rng = random.Random(27)
+    for _ in range(100):
+        lo = rng.randrange(10**6)
+        yield lo, lo + rng.randrange(5001)
+
+
+def test_two_square_stream_matches_the_kernel():
+    # the stream reads each root off a² + b² = p; the kernel raises a
+    # non-residue to the (p − 1)/4-th power: two algorithms, one answer
+    for lo, hi in _two_square_windows():
+        pairs = sorted(prime_roots(lo, hi))
+        assert len({p for p, _ in pairs}) == len(pairs), (lo, hi)
+        want = [(p, _sqrt_minus_one_value(p)) for p in iter_primes(lo, hi) if p % 4 == 1]
+        assert pairs == want, (lo, hi)
