@@ -35,7 +35,7 @@ from .dirichlet import L4, LAMBDA, ZETA, neg_log_deriv
 # unused here, but kept bound: the benchmark probe times the series by them
 from .dirichlet import neg_log_deriv_l4, neg_log_deriv_zeta  # noqa: F401
 from .orders import log_lcm_exact, require_within_ceiling
-from .primes import iter_primes, iter_primes_one_mod_four
+from .primes import PSI_MAX_N, _require_within, iter_primes, iter_primes_one_mod_four
 from .summation import CONTEXT, GAMMA, LN2
 
 CHAR_TRIVIAL = "trivial"
@@ -136,16 +136,20 @@ def eq6_main(n: int) -> float:
 
 
 def mertens_log_sum(x: int) -> float:
-    """Σ log p/(p−1) over odd primes p ≤ x; grows like log(x/2) − gamma."""
+    """Σ log p/(p−1) over odd primes p ≤ x; grows like log(x/2) − gamma.
+    x is at most primes.PSI_MAX_N: the sum walks the primes as psi does."""
     if x < 3:
         raise InvalidRangeError("mertens_log_sum needs x >= 3")
+    _require_within(x, PSI_MAX_N, "x")
     return math.fsum(_harmonic_terms(iter_primes(2, x)))
 
 
 def character_log_sum(x: int) -> float:
-    """Σ chi(p) log p/(p−1) over odd primes p ≤ x; converges as x grows."""
+    """Σ chi(p) log p/(p−1) over odd primes p ≤ x; converges as x grows.
+    x is at most primes.PSI_MAX_N, as for mertens_log_sum."""
     if x < 3:
         raise InvalidRangeError("character_log_sum needs x >= 3")
+    _require_within(x, PSI_MAX_N, "x")
     # chi(p) = 2 − p mod 4 on odd p; the ±1 product is exact, so each
     # signed term is rounded once, and the sum is one pass
     c, primes = tee(iter_primes(2, x))

@@ -12,9 +12,10 @@ Conventions shared by every subcommand:
   --out, 3 when the exact-integer oracle cap is exceeded, 4 on modulus
   overflow,
 * a work ceiling stated in --help refuses an oversize input before any
-  work starts (exit 2): --p-max of constant-b, the n of psi and counts,
-  the n of lcm, decomp, badprimes and the last residuals grid point
-  (orders.MAX_N), and the window of roots,
+  work starts (exit 2): --p-max of constant-b, the n of psi and counts
+  and the last mertens and charsum grid point (primes.PSI_MAX_N), the n
+  of lcm, decomp, badprimes and the last residuals and centered grid
+  point (roots.MAX_N), and the window of roots and equisum,
 * verify prints one PASS/FAIL line per check, or with --json one JSON
   object, and exits 1 when a check fails.
 
@@ -44,6 +45,7 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import OracleCapError, QuadlcmError, RangeOverflowError
+from .primes import _require_within
 from .reports import RunManifest, format_value, render_csv, render_json, write_report
 from .summation import GAMMA, geometric
 
@@ -225,8 +227,10 @@ def cmd_equisum(discrepancy, args):
 
 
 def cmd_centered(discrepancy, args):
+    grid = parse_grid(args.grid)
+    _require_within(grid[-1], discrepancy.MAX_N)
     rows = []
-    for n in parse_grid(args.grid):
+    for n in grid:
         value = discrepancy.centered_fraction_sum(n)
         normalized = abs(value) * math.log(n) ** 1.4 / n if n > 1 else 0.0
         rows.append((n, value, normalized))
@@ -234,8 +238,10 @@ def cmd_centered(discrepancy, args):
 
 
 def cmd_mertens(asymptotics, args):
+    grid = parse_grid(args.grid)
+    _require_within(grid[-1], asymptotics.PSI_MAX_N, "x")
     rows = []
-    for x in parse_grid(args.grid):
+    for x in grid:
         value = asymptotics.mertens_log_sum(x)
         reference = math.log(x / 2.0) - float(GAMMA)
         rows.append((x, value, reference, value - reference))
@@ -244,6 +250,7 @@ def cmd_mertens(asymptotics, args):
 
 def cmd_charsum(asymptotics, args):
     grid = parse_grid(args.grid)
+    _require_within(grid[-1], asymptotics.PSI_MAX_N, "x")
     limit = asymptotics.compute_B("accelerated").s_value
     rows = []
     for x in grid:
@@ -292,7 +299,7 @@ def _flag(*names: str, **kwargs) -> tuple:
 
 
 _N = _flag("--n", type=int, required=True)
-# the work ceiling orders.MAX_N of the (p, ν) folds
+# the work ceiling roots.MAX_N of the (p, ν) folds
 _N_FOLD = _flag("--n", type=int, required=True,
                 help="at most 1000000000, about 0.15 µs per unit of n serially")
 # the work ceilings primes.PSI_MAX_N and primes.COUNTS_MAX_N
@@ -300,22 +307,29 @@ _N_PSI = _flag("--n", type=int, required=True,
                help="at most 10000000000, about 20 ns per unit of n")
 _N_COUNTS = _flag("--n", type=int, required=True,
                   help="at most 50000000000, about 4 ns per unit of n")
-_GRID = _flag("--grid", required=True, help="start:stop:factor")
+# the work ceilings primes.PSI_MAX_N of mertens and charsum and roots.MAX_N
+# of centered
+_GRID_PRIMES = _flag("--grid", required=True,
+                     help="start:stop:factor, stop at most 10000000000, "
+                          "about 30 ns per unit of stop")
+_GRID_CENTERED = _flag("--grid", required=True,
+                       help="start:stop:factor, stop at most 1000000000, "
+                            "about 0.1 µs per unit of stop")
 _WORKERS = _flag("--workers", type=int, default=1,
                  help="worker processes, capped at the CPU count (default: 1)")
-_LO = _flag("--lo", type=int, required=True)
-_LO_HI = [_LO, _flag("--hi", type=int, required=True)]
-# the work ceilings roots.ROOTS_MAX_HI and roots.ROOTS_MAX_WIDTH
-_LO_HI_ROOTS = [_LO, _flag("--hi", type=int, required=True,
-                           help="at most 1000000000000 and at most --lo + 4000000, "
-                                "about 5 s and 100 MB at either ceiling")]
+# the work ceilings roots.ROOTS_MAX_HI and roots.ROOTS_MAX_WIDTH of roots
+# and equisum
+_WINDOW = [_flag("--lo", type=int, required=True),
+           _flag("--hi", type=int, required=True,
+                 help="at most 1000000000000 and at most --lo + 4000000, "
+                      "about 5 s and 100 MB at either ceiling")]
 
 # build_parser adds --out to every entry.
 COMMANDS = [
     Command("psi", "primes", cmd_psi, "Chebyshev psi(n) = log lcm(1..n)", [_N_PSI]),
     Command("counts", "primes", cmd_counts, "prime counts pi(n) and pi1(n)", [_N_COUNTS]),
     Command("roots", "roots", cmd_roots, "roots of x²+1 over primes in (lo, hi]",
-            _LO_HI_ROOTS),
+            _WINDOW),
     Command("orders", "orders", cmd_orders, "alpha/beta order profile of one prime",
             [_flag("--p", type=int, required=True), _N]),
     Command("lcm", "orders", cmd_lcm, "exact log L_n via the prime-order correction",
@@ -333,12 +347,13 @@ COMMANDS = [
              _flag("--grid", default=None, help="start:stop:factor")]),
     Command("equisum", "discrepancy", cmd_equisum,
             "weighted sum of a test function over root fractions",
-            [_flag("--g", choices=sorted(_TEST_FUNCTIONS), required=True), *_LO_HI]),
+            [_flag("--g", choices=sorted(_TEST_FUNCTIONS), required=True), *_WINDOW]),
     Command("centered", "discrepancy", cmd_centered, "centered fractional sums on a grid",
-            [_GRID]),
-    Command("mertens", "asymptotics", cmd_mertens, "Mertens-type log sums on a grid", [_GRID]),
+            [_GRID_CENTERED]),
+    Command("mertens", "asymptotics", cmd_mertens, "Mertens-type log sums on a grid",
+            [_GRID_PRIMES]),
     Command("charsum", "asymptotics", cmd_charsum, "character-weighted log sums on a grid",
-            [_GRID]),
+            [_GRID_PRIMES]),
     Command("constant-b", "asymptotics", cmd_constant_b, "the linear-term constant B",
             [_flag("--mode", choices=("accelerated", "naive"), default="accelerated"),
              _flag("--p-max", dest="p_max", type=int, default=10**6,

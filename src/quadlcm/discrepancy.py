@@ -20,8 +20,8 @@ from itertools import chain
 from typing import NamedTuple, Protocol
 
 from .errors import EmptySampleError, InvalidRangeError
-from .primes import count_primes
-from .roots import prime_roots
+from .primes import _require_within, count_primes
+from .roots import MAX_N, prime_roots, require_root_window
 
 
 @dataclass(frozen=True)
@@ -248,10 +248,13 @@ def equidistribution_sum(
     Each prime's root pair is evaluated as one exact rational before the
     single rounding to float, so structural cancellations (mirror pairs,
     odd symmetry about 1/2) survive exactly; one fsum adds the floats.
-    The window convention keeps p = 2 out whenever lo ≥ 2.
+    The window convention keeps p = 2 out whenever lo ≥ 2.  The window has
+    root_stream's ceilings (roots.require_root_window), refused before any
+    work.
     """
     if hi <= lo:
         raise InvalidRangeError(f"empty window: ({lo}, {hi}]")
+    require_root_window(lo, hi)
     pairs = [
         float(g(Fraction(nu, p)) + g(Fraction(p - nu, p)))
         for p, nu in prime_roots(lo, hi)
@@ -267,9 +270,12 @@ def centered_fraction_sum(n: int) -> float:
     For a mirror pair the two terms combine to 1 − (r₁+r₂)/p with
     r₁ = (n−nu) mod p and r₂ = (n+nu) mod p, one exactly-rounded float
     per prime; p = 2 contributes 1/2 − ((n−1) mod 2)/2.  One fsum adds them.
+    n is at most roots.MAX_N, the ceiling of the folds that walk the same
+    stream to 2n.
     """
     if n < 1:
         raise InvalidRangeError("centered_fraction_sum needs n >= 1")
+    _require_within(n, MAX_N)
     pairs = (
         (p - (n - nu) % p - (n + nu) % p) / p for p, nu in prime_roots(0, 2 * n)
     )

@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 from .errors import InvalidRangeError, OracleCapError
 # iter_primes is not called here; it stays bound for perfbench/probe.py
 from .primes import DEFAULT_SEGMENT, _require_within, is_prime, iter_primes, require_prime
-from .roots import _lift, _lifted_root, prime_roots, roots_mod_prime_power
+from .roots import MAX_N, _lift, _lifted_root, prime_roots, roots_mod_prime_power
 from .summation import (
     CONTEXT,
     HALF_LOG_2PI,
@@ -61,11 +61,6 @@ from .summation import (
 )
 
 ORACLE_CAP_DEFAULT = 5_000
-
-# Work ceiling of the (p, ν) folds (log_lcm_exact, decomposition_report,
-# square_divisor_primes): the serial lcm fold costs about 0.15 us per unit
-# of n at 10^7 and at 10^8 in flat memory, so 10^9 takes a few minutes.
-MAX_N = 10**9
 
 # log_P takes 1 <= n < LOG_P_MAX_N: below it (n+1)² + 1 < 2^1024, so every
 # value log_P converts to a double is finite.

@@ -5,15 +5,11 @@ any modulus p^a pair up as (nu, p^a − nu); for p = 2 the single root is 1
 and no lift past a = 1 exists because i²+1 is 2 mod 4 for odd i.
 
 The root of one prime is the closed form c^((p−1)/4) for a quadratic
-non-residue c, whose square is −1 by Euler's criterion.  c = 2 when
-p ≡ 5 mod 8.  For p ≡ 1 mod 8 it is the least non-residue among 3, 5, 7,
-11, 13, read off a table of p mod 15015 = 3·5·7·11·13 (by reciprocity
-(q/p) = (p/q), since p ≡ 1 mod 4), and only when all five are residues
-(1 in 32 such p) the least one past them, found the same way up to 61 and
-by Euler's criterion beyond.  The smaller root does not depend on which
-non-residue is used: c^((p−1)/4) is one of the two roots ±ν whatever c,
-so the output is a pure function of p.  Roots mod p^a are Newton (Hensel)
-lifts of it.  Each pass visits a prime once, so nothing is cached.
+non-residue c, whose square is −1 by Euler's criterion; c runs 2, 3, …
+until one is a non-residue, where the (p−1)/4-th power squares to −1.  The
+smaller root does not depend on which non-residue is used: c^((p−1)/4) is
+one of the two roots ±ν whatever c, so the output is a pure function of p.
+Roots mod p^a are Newton (Hensel) lifts of it.  Nothing is cached.
 
 `prime_roots` is the one (p, ν) stream every root consumer folds over.  It
 holds only the primes with a root pair, p ≡ 1 mod 4, so ν is never 0; p = 2
@@ -41,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, getitem
 from typing import Iterator
 
@@ -53,33 +49,20 @@ _MACHINE_MAX = (1 << 63) - 1
 # this large is refused before p^a is built
 _MAX_EXPONENT = 28
 
-# Work ceilings of root_stream, refused before any work.  A window costs
+# Work ceilings of a window (lo, hi] of root_stream and of
+# discrepancy.equidistribution_sum, refused before any work.  A window costs
 # about √hi/2 lattice rows per segment (0.5 s a segment at hi = 10^12) and
 # 0.6 µs per unit of width, and the `roots` command keeps about 23 bytes of
 # rows per unit of width: at either ceiling a run takes about 5 s and 100 MB.
 ROOTS_MAX_HI = 10**12
 ROOTS_MAX_WIDTH = 4 * 10**6
 
-# (q, the non-residues mod q) for the odd primes q ≤ 61
-_NON_RESIDUES = tuple(
-    (q, frozenset(range(1, q)) - {x * x % q for x in range(1, q)})
-    for q in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
-)
-
-# p mod 3·5·7·11·13 -> the least q of the five that is a non-residue mod a
-# prime p ≡ 1 mod 4 in that class, 0 when all five are residues
-_TABLE_MODULUS = 15015
-
-
-def _non_residue_table() -> bytes:
-    table = bytearray(_TABLE_MODULUS)
-    for q, non_residues in reversed(_NON_RESIDUES[:5]):  # smaller q last, on top
-        for r in non_residues:
-            table[r::q] = bytes((q,)) * len(range(r, _TABLE_MODULUS, q))
-    return bytes(table)
-
-
-_NON_RESIDUE_TABLE = _non_residue_table()
+# Work ceiling of the consumers that walk the stream to 2n: the orders folds
+# (log_lcm_exact, decomposition_report, square_divisor_primes) and
+# discrepancy.centered_fraction_sum.  The serial lcm fold costs about
+# 0.15 µs per unit of n at 10^7 and at 10^8 in flat memory, so 10^9 takes a
+# few minutes.
+MAX_N = 10**9
 
 
 @dataclass(frozen=True)
@@ -102,30 +85,16 @@ class RootStreamItem:
     fraction: Fraction
 
 
-def _least_non_residue(p: int) -> int:
-    """Least non-residue mod a prime p ≡ 1 mod 8: an odd prime q, and one
-    exactly when p mod q is one mod q, as (q/p) = (p/q) by reciprocity.
-    Euler's criterion takes over past 61 (first at p = 48473881: c = 67)."""
-    for q, non_residues in _NON_RESIDUES:
-        if p % q in non_residues:
-            return q
-    c, half = 67, (p - 1) // 2  # every c ≤ 66 is a product of residues
-    while (r := pow(c, half, p)) != p - 1:
-        if r != 1:  # a prime gives ±1; a c sharing a factor with p, neither
-            raise InvalidRangeError(f"p = {p} is not a prime")
-        c += 1
-    return c
-
-
 def _sqrt_minus_one_value(p: int) -> int:
-    """Smaller root of x² ≡ −1 mod a prime p ≡ 1 mod 4: c^((p−1)/4) for a
-    non-residue c (2 when p ≡ 5 mod 8, else from the table by p mod 15015)."""
-    if p & 7 == 5:
-        c = 2
-    else:
-        c = _NON_RESIDUE_TABLE[p % _TABLE_MODULUS] or _least_non_residue(p)
-    x = pow(c, p >> 2, p)
-    return x if x + x < p else p - x
+    """Smaller root of x² ≡ −1 mod a prime p ≡ 1 mod 4: c^((p−1)/4) for the
+    least non-residue c, found by Euler's criterion (c = 2 when p ≡ 5 mod 8)."""
+    for c in count(2):
+        x = pow(c, p >> 2, p)
+        square = x * x % p
+        if square == p - 1:
+            return x if x + x < p else p - x
+        if square != 1:  # a prime gives ±1; a c sharing a factor with p, neither
+            raise InvalidRangeError(f"p = {p} is not a prime")
 
 
 def _lift(p: int, nu: int, pk: int) -> int:
@@ -239,6 +208,13 @@ def min_root(p: int, a: int = 1) -> int:
     return roots_mod_prime_power(p, a).nu1
 
 
+def require_root_window(lo: int, hi: int) -> None:
+    """Raise InvalidRangeError, before any work, for a window (lo, hi] with
+    hi past ROOTS_MAX_HI or hi − lo past ROOTS_MAX_WIDTH."""
+    _require_within(hi, ROOTS_MAX_HI, "hi")
+    _require_within(hi - lo, ROOTS_MAX_WIDTH, "hi - lo")
+
+
 def root_stream(lo: int, hi: int) -> Iterator[RootStreamItem]:
     """All roots 0 < nu < p over primes p in (lo, hi], ordered by (p, nu).
 
@@ -248,8 +224,7 @@ def root_stream(lo: int, hi: int) -> Iterator[RootStreamItem]:
     at most ROOTS_MAX_WIDTH.  A window past either, or an empty or negative
     one, raises InvalidRangeError before any work.
     """
-    _require_within(hi, ROOTS_MAX_HI, "hi")
-    _require_within(hi - lo, ROOTS_MAX_WIDTH, "hi - lo")
+    require_root_window(lo, hi)
     segments = _windows(_segment_roots, lo, hi, DEFAULT_SEGMENT)
     if lo < 2 <= hi:
         yield RootStreamItem(p=2, nu=1, fraction=Fraction(1, 2))

@@ -24,6 +24,7 @@ from quadlcm.asymptotics import (
 )
 from quadlcm.errors import DivergentSeriesError, InvalidRangeError
 from quadlcm.orders import log_lcm_bruteforce
+from quadlcm.primes import PSI_MAX_N
 
 GAMMA = 0.5772156649015329
 
@@ -416,6 +417,17 @@ def test_residual_scan_validation():
         residual_scan([10, 100], theta=0.5)
     with pytest.raises(InvalidRangeError):
         residual_scan([10, 100], theta=0.0)
+
+
+def test_prime_log_sums_refuse_x_past_the_psi_ceiling_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started past the ceiling")
+
+    monkeypatch.setattr(asymptotics, "iter_primes", refuse)
+    message = f"at most the work ceiling {PSI_MAX_N}, got x = {PSI_MAX_N + 1}"
+    for fn in (mertens_log_sum, character_log_sum):
+        with pytest.raises(InvalidRangeError, match=message):
+            fn(PSI_MAX_N + 1)
 
 
 def test_residual_scan_refuses_a_grid_past_the_ceiling_before_any_work(monkeypatch):

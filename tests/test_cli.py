@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -269,6 +270,55 @@ def test_roots_refuses_past_its_ceilings_at_once(lo, hi, refusal):
     proc = subprocess.run(
         [sys.executable, "-m", "quadlcm", "roots", "--lo", str(lo), "--hi", str(hi)],
         capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    assert (proc.stdout, proc.stderr) == ("", f"error: {refusal}\n")
+
+
+def test_equisum_and_grid_commands_help_state_their_ceilings(capsys):
+    from quadlcm.primes import PSI_MAX_N
+    from quadlcm.roots import MAX_N, ROOTS_MAX_HI, ROOTS_MAX_WIDTH
+
+    for command, stated in (
+        ("equisum", f"at most {ROOTS_MAX_HI} and at most --lo + {ROOTS_MAX_WIDTH},"),
+        ("mertens", f"stop at most {PSI_MAX_N},"),
+        ("charsum", f"stop at most {PSI_MAX_N},"),
+        ("centered", f"stop at most {MAX_N},"),
+    ):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        assert stated in " ".join(capsys.readouterr().out.split()), command
+
+
+def _limit_memory():
+    # a work ceiling that failed would fill the machine before the timeout
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["equisum", "--g", "one", "--lo", "100000000000000", "--hi", "100000000000100"],
+         "hi must be at most the work ceiling 1000000000000, got hi = 100000000000100"),
+        (["mertens", "--grid", "1000:100000000000:10"],
+         "x must be at most the work ceiling 10000000000, got x = 100000000000"),
+        (["charsum", "--grid", "1000:100000000000:10"],
+         "x must be at most the work ceiling 10000000000, got x = 100000000000"),
+        (["centered", "--grid", "1000:10000000000:10"],
+         "n must be at most the work ceiling 1000000000, got n = 10000000000"),
+    ],
+    ids=["equisum", "mertens", "charsum", "centered"],
+)
+def test_equisum_and_grid_commands_refuse_past_their_ceilings_at_once(argv, refusal):
+    # a separate process under a memory limit, so work started before the
+    # refusal fails on the timeout or the limit; a grid is refused at its
+    # last point before its first is computed
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlcm", *argv],
+        capture_output=True, text=True, timeout=10, preexec_fn=_limit_memory,
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 2

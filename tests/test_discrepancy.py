@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadlcm import discrepancy as discrepancy_module
 from quadlcm.discrepancy import (
     BVFunction,
     MonomialMap,
@@ -23,6 +24,7 @@ from quadlcm.discrepancy import (
 )
 from quadlcm.errors import EmptySampleError, InvalidRangeError
 from quadlcm.primes import pi1_range
+from quadlcm.roots import MAX_N
 
 
 def test_collect_fractions_small():
@@ -183,6 +185,21 @@ def test_koksma_style_bound_holds():
     for g in (constant_one(), identity_map(), square_map(), tent_map()):
         res = equidistribution_sum(g, lo, hi)
         assert abs(res.sum - res.prediction) <= float(g.variation()) * size * rep.D
+
+
+def test_equisum_window_and_centered_n_past_their_ceilings_are_refused_before_any_work(
+    monkeypatch,
+):
+    def refuse(*args):
+        raise AssertionError("work started past the ceiling")
+
+    monkeypatch.setattr(discrepancy_module, "prime_roots", refuse)
+    with pytest.raises(InvalidRangeError, match="got hi = 100000000000100"):
+        equidistribution_sum(constant_one(), 10**14, 10**14 + 100)
+    with pytest.raises(InvalidRangeError, match="got hi - lo = 4000001"):
+        equidistribution_sum(constant_one(), 0, 4 * 10**6 + 1)
+    with pytest.raises(InvalidRangeError, match=f"got n = {MAX_N + 1}"):
+        centered_fraction_sum(MAX_N + 1)
 
 
 def test_centered_fraction_sum_hand_values():

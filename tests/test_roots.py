@@ -14,9 +14,7 @@ from hypothesis import strategies as st
 from quadlcm.errors import InvalidRangeError, NotOneModFourError, RangeOverflowError
 from quadlcm.primes import DEFAULT_SEGMENT, iter_primes
 from quadlcm.roots import (
-    _NON_RESIDUE_TABLE,
     RootPair,
-    _least_non_residue,
     _sqrt_minus_one_value,
     prime_roots,
     min_root,
@@ -82,9 +80,8 @@ def prime_one_mod_four(draw):
 
 
 # Primes ≡ 1 mod 8 whose least non-residue sets a record (c = 5, 7, ..., 67),
-# so the reciprocity table is scanned furthest, and primes ≡ 5 mod 8, where
-# c = 2.  22000801 has c = 59, inside the table; 48473881 has c = 67, past
-# it, and is the only one that reaches the Euler-criterion search.
+# so the kernel's Euler-criterion search runs longest there (c = 67 at
+# 48473881), and primes ≡ 5 mod 8, where c = 2 is the first try.
 _RECORD_NON_RESIDUE = (
     73, 241, 1009, 2689, 8089, 33049, 53881, 87481,
     483289, 515761, 1083289, 3818929, 9257329, 22000801, 48473881,
@@ -109,23 +106,8 @@ def test_sqrt_minus_one_is_correct_and_minimal(p):
     assert [pair.nu1, pair.nu2] == sorted(sympy.sqrt_mod(-1, p, all_roots=True))
 
 
-def test_least_non_residue_matches_euler_search():
-    for p in iter_primes(0, 10**6):
-        if p % 8 != 1:
-            continue
-        c = 3
-        while pow(c, (p - 1) // 2, p) != p - 1:
-            c += 1
-        assert _least_non_residue(p) == c, p
-    # past the reciprocity table: 2, 3, ..., 61 are all residues mod 48473881
-    assert _least_non_residue(48473881) == 67
-
-
-@pytest.mark.parametrize("p", [9, 25, 49, 81])
-def test_odd_squares_are_refused_not_looped_on(p):
-    # an odd square is ≡ 1 mod 8 and a residue mod every q ≤ 61, so it
-    # reaches the Euler loop, which must refuse it; the alarm turns a hang
-    # into a failure
+def _refused_within_a_second(p):
+    # the alarm turns a hang into a failure
     def hang(signum, frame):
         raise TimeoutError(f"_sqrt_minus_one_value({p}) still running after 1 s")
 
@@ -137,6 +119,21 @@ def test_odd_squares_are_refused_not_looped_on(p):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("p", [9, 25, 49, 81])
+def test_odd_squares_are_refused_not_looped_on(p):
+    # an odd square is ≡ 1 mod 8, so the search goes past c = 2; it must
+    # refuse the square, not search on
+    _refused_within_a_second(p)
+
+
+@pytest.mark.parametrize("p", [21, 45, 85, 561, 1105])
+def test_composites_are_refused_not_given_a_non_root(p):
+    # 21, 45, 85 are ≡ 5 mod 8 and the Carmichael numbers 561, 1105 are
+    # ≡ 1 mod 8; a search that trusts c = 2 or a residue table for them
+    # returns a non-root (21 -> 10, 561 -> 1), the Euler loop refuses them
+    _refused_within_a_second(p)
 
 
 @given(prime_one_mod_four(), st.integers(min_value=2, max_value=4))
@@ -188,30 +185,11 @@ def test_root_stream_matches_brute_force_on_every_small_window():
             assert [(it.p, it.nu) for it in root_stream(lo, hi)] == want, (lo, hi)
 
 
-def _least_of_five(r):
-    """The least q in 3, 5, 7, 11, 13 with r a non-residue mod q, else 0."""
-    return next((q for q in (3, 5, 7, 11, 13) if pow(r, (q - 1) // 2, q) == q - 1), 0)
-
-
-def test_non_residue_table_matches_its_definition():
-    assert len(_NON_RESIDUE_TABLE) == 15015
-    for r in range(15015):
-        assert _NON_RESIDUE_TABLE[r] == _least_of_five(r), r
-
-
 def test_kernel_gives_the_smaller_root_for_every_prime_below_a_million():
-    # the two roots are ±ν, so ν²+1 ≡ 0 and 0 < ν < p/2 pin the smaller one;
-    # the table entry must be a non-residue mod p itself (reciprocity)
+    # the two roots are ±ν, so ν²+1 ≡ 0 and 0 < ν < p/2 pin the smaller one
     for p in (*(q for q in iter_primes(0, 10**6) if q % 4 == 1), 22000801, 48473881):
         nu = _sqrt_minus_one_value(p)
         assert (nu * nu + 1) % p == 0 and 0 < 2 * nu < p, p
-        if p % 8 == 1:
-            on_p = next(
-                (q for q in (3, 5, 7, 11, 13) if pow(q, (p - 1) // 2, p) == p - 1), 0
-            )
-            assert _NON_RESIDUE_TABLE[p % 15015] == on_p, p
-    # all of 3, ..., 13 are residues mod 48473881: the kernel falls back
-    assert _NON_RESIDUE_TABLE[48473881 % 15015] == 0
 
 
 def test_prime_roots_holds_only_primes_one_mod_four():
