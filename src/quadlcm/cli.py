@@ -15,7 +15,8 @@ Conventions shared by every subcommand:
   work starts (exit 2): --p-max of constant-b, the n of psi and counts
   and the last mertens and charsum grid point (primes.PSI_MAX_N), the n
   of lcm, decomp, badprimes and the last residuals and centered grid
-  point (roots.MAX_N), and the window of roots and equisum,
+  point (roots.MAX_N), the n or last grid point of discrepancy
+  (discrepancy.SAMPLE_MAX_N), and the window of roots and equisum,
 * verify prints one PASS/FAIL line per check, or with --json one JSON
   object, and exits 1 when a check fails.
 
@@ -196,6 +197,7 @@ def cmd_discrepancy(discrepancy, args):
     if args.n is not None and args.grid is not None:
         raise UsageError("discrepancy takes --n or --grid, not both")
     grid = [args.n] if args.grid is None else parse_grid(args.grid)
+    _require_within(grid[-1], discrepancy.SAMPLE_MAX_N)
     rows = []
     for n in grid:
         rep = discrepancy.discrepancy(n)
@@ -315,6 +317,8 @@ _GRID_PRIMES = _flag("--grid", required=True,
 _GRID_CENTERED = _flag("--grid", required=True,
                        help="start:stop:factor, stop at most 1000000000, "
                             "about 0.1 µs per unit of stop")
+# the work ceiling discrepancy.SAMPLE_MAX_N of --n and the last --grid point
+_SAMPLE_CEILING = "at most 10000000, about 0.6 µs and 18 bytes per unit of n"
 _WORKERS = _flag("--workers", type=int, default=1,
                  help="worker processes, capped at the CPU count (default: 1)")
 # the work ceilings roots.ROOTS_MAX_HI and roots.ROOTS_MAX_WIDTH of roots
@@ -343,8 +347,9 @@ COMMANDS = [
             [_N_FOLD, _WORKERS]),
     Command("discrepancy", "discrepancy", cmd_discrepancy,
             "exact star discrepancy of root fractions",
-            [_flag("--n", type=int, default=None),
-             _flag("--grid", default=None, help="start:stop:factor")]),
+            [_flag("--n", type=int, default=None, help=_SAMPLE_CEILING),
+             _flag("--grid", default=None,
+                   help=f"start:stop:factor, stop {_SAMPLE_CEILING}")]),
     Command("equisum", "discrepancy", cmd_equisum,
             "weighted sum of a test function over root fractions",
             [_flag("--g", choices=sorted(_TEST_FUNCTIONS), required=True), *_WINDOW]),

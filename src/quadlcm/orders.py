@@ -18,15 +18,16 @@ p ≡ 3 mod 4 divides no i²+1) instead of factoring n quadratic values.
 A level q = p^a is met when its smaller root ν_q < q/2 is ≤ n, as every
 q ≤ 2n is; a q > 2n has at most one root ≤ n, which adds one to alpha
 and one to beta.  So alpha − beta = Σ_{q = p^a ≤ 2n} (N_q − 1) with
-N_q = `_level_count(n, ν_q, q)`, and the lcm fold lifts only p ≤ √(2n).
-Beta itself is read only by `order_profile`, the ledger and
-`square_divisor_primes`, through `_order_counts`: count level 1 from ν,
-lift one Hensel step per level and stop at the first level whose smaller
-root exceeds n.  Only a few hundred primes meet a second level (581 at
-n = 10⁷), so the ledger and `square_divisor_primes` take it only at
-p ≤ p0 = ⌊n^0.8⌋ and at the primes of `_square_census` (the p0 < p ≤ n
-whose square divides some i²+1, from continued fractions, none at
-n = 10⁷); every other prime has beta = 1 and alpha = alpha_star = N_p.
+N_q = `_level_count(n, ν_q, q)`.  `_excess` states that sum once, and
+both block folds, the lcm correction and the decomposition ledger, take
+it, lifting only p ≤ √(2n).
+Beta itself is read only by `order_profile` and `square_divisor_primes`,
+through `_order_counts`: count level 1 from ν, lift one Hensel step per
+level and stop at the first level whose smaller root exceeds n.  Only a
+few hundred primes meet a second level (581 at n = 10⁷), so
+`square_divisor_primes` lifts only the medium p ≤ p0 = ⌊n^0.8⌋ and takes
+those above from `_square_census` (the p0 < p ≤ n whose square divides
+some i²+1, from continued fractions, none at n = 10⁷).
 log P_n itself is a closed form,
 2 Re log Γ(n+1+i) − log(π/sinh π), evaluated by Stirling's series in
 the 40-digit decimal CONTEXT, so it costs the same at every n.
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -105,11 +107,12 @@ class DecompositionReport:
     small_sum covers 2 < p < n^(2/3); the remaining fields cover the
     medium window n^(2/3) ≤ p ≤ 2n, where the per-prime coefficient is
     rearranged as (beta − beta_star − alpha + alpha_star) + beta_star
-    − alpha_star.  identity_residue is the summed absolute integer
+    − alpha_star, with alpha − beta from `_excess`, alpha_star = N_p and
+    beta_star = 1.  identity_residue is the summed absolute integer
     mismatch of that rearrangement (an algebraic identity, so 0).
     medium_high_sum is 0 too: a medium prime has p² > 2n (as p ≥ n^(2/3)
     for n > 8, as p ≥ 5 for n ≤ 12), so its levels past the first add
-    as much to beta as to alpha.
+    as much to beta as to alpha.  bad_primes is `square_divisor_primes`.
 
     beta_star_reference = n and alpha_star_reference
     = Σ_medium 2 n log p / (p − 1) are the first-order predictions the
@@ -185,8 +188,8 @@ def _square_census(n: int) -> tuple[int, frozenset[int]]:
     keeps each prime denominator k > p0 with h²+1 = m·k².  A composite
     k = p·t needs no factoring: p is met itself at m·t² ≤ M.  M follows
     from p0 exactly, so no choice of p0 loses a prime; n^0.8 keeps both M
-    (630 at n = 10⁷) and the primes below p0, which the ledger and
-    `square_divisor_primes` lift, few.
+    (630 at n = 10⁷) and the primes below p0, which
+    `square_divisor_primes` lifts, few.
     """
     p0 = int(n**0.8)
     found = set()
@@ -339,24 +342,31 @@ def _blocks(n: int) -> list[tuple]:
     return [(k, min(k + DEFAULT_SEGMENT, hi), n) for k in range(0, hi, DEFAULT_SEGMENT)]
 
 
+def _excess(n: int, p: int, nu: int) -> int:
+    """alpha − beta for a p ≡ 1 mod 4, p ≤ 2n, from its smaller root ν: the
+    level sum Σ_{q = p^a ≤ 2n} (N_q − 1), one `_lift` per level.  The block
+    folds call it only at p² ≤ 2n, where a second level exists."""
+    d = _level_count(n, nu, p) - 1
+    pa = p
+    while pa * p <= 2 * n:
+        nu = _lift(p, nu, pa)
+        pa *= p
+        d += _level_count(n, nu, pa) - 1
+    return d
+
+
 def _correction_block(args: tuple) -> float:
     """fsum of the nonzero (alpha − beta) log p over primes p in (lo, hi],
-    each coefficient the level sum Σ_{q = p^a ≤ 2n} (N_q − 1) of the module
-    docstring, one integer per prime.  p = 2 is the caller's.  The terms
-    reach fsum as a stream, so a block never keeps them in a list; fsum
-    rounds their exact sum once, whatever their order."""
+    each coefficient `_excess`, one integer per prime.  p = 2 is the
+    caller's.  The terms reach fsum as a stream, so a block never keeps
+    them in a list; fsum rounds their exact sum once, whatever their order."""
     lo, hi, n = args
     top = 2 * n
 
     def terms():
         log = math.log
         for p, nu in prime_roots(lo, hi):
-            d = _level_count(n, nu, p) - 1
-            pa = p
-            while pa * p <= top:
-                nu = _lift(p, nu, pa)
-                pa *= p
-                d += _level_count(n, nu, pa) - 1
+            d = _level_count(n, nu, p) - 1 if p * p > top else _excess(n, p, nu)
             if d:
                 yield d * log(p)
 
@@ -367,59 +377,44 @@ def _correction_partials(n: int, workers: int) -> list[float]:
     return _map_blocks(_correction_block, _blocks(n), workers)
 
 
-def _ledger_block(args: tuple):
+def _ledger_block(args: tuple) -> tuple:
     """Accumulate every per-prime piece of the decomposition over (lo, hi],
-    the orders taken as the module docstring states.
+    from the same (lo, hi, n) args and the same `_excess` as the lcm fold.
 
     Returns (small_sum, medium_high, beta_star_sum, alpha_star_sum,
-    alpha_star_reference, identity_residue, bad_primes), the bad primes
-    sorted, as the stream gives a block in no fixed order.  Only the
-    stream's p ≡ 1 mod 4 contribute; the quadratic-character weight in the
-    alpha_star reference kills p ≡ 3 mod 4 and p = 2 is the caller's.
+    alpha_star_reference, identity_residue).  A stream prime p ≤ 2n has
+    ν < p/2 ≤ n, so alpha_star = N_p ≥ 1 and beta_star = 1; beta itself
+    is never read.  Only the stream's p ≡ 1 mod 4 contribute; the
+    quadratic-character weight in the alpha_star reference kills
+    p ≡ 3 mod 4 and p = 2 is the caller's.
     """
-    lo, hi, n, p0, census = args
+    lo, hi, n = args
     nn = n * n
-    small: list[float] = []
-    medhigh: list[float] = []
-    bstar: list[float] = []
-    astar: list[float] = []
-    aref: list[float] = []
+    top = 2 * n
+    # doubles in arrays, not float objects in lists: a block holds up to
+    # 77,779 medium primes (n = 10⁷)
+    small, medhigh, bstar, astar, aref = (array("d") for _ in range(5))
     identity = 0
-    bad: list[int] = []
     for p, nu in prime_roots(lo, hi):
-        if p <= p0 or p in census:
-            alpha, beta, a_st = _order_counts(p, n, nu)
-        else:
-            alpha = a_st = _level_count(n, nu, p)
-            beta = 1
+        a_st = _level_count(n, nu, p)
+        d = a_st - 1 if p * p > top else _excess(n, p, nu)
         lp = math.log(p)
-        diff = alpha - beta
         if p * p * p < nn:
-            if diff:
-                small.append(diff * lp)
+            if d:
+                small.append(d * lp)
         else:
-            b_st = 1 if a_st else 0
-            medhigh.append((beta - b_st - alpha + a_st) * lp)
-            bstar.append(b_st * lp)
+            c = a_st - 1 - d  # beta − beta_star − alpha + alpha_star
+            if c:
+                medhigh.append(c * lp)
+            bstar.append(lp)
             astar.append(a_st * lp)
             aref.append(2.0 * n * lp / (p - 1))
-            identity += abs((beta - alpha) - ((beta - b_st - alpha + a_st) + b_st - a_st))
-            if beta >= 2:
-                bad.append(p)
-    return (
-        math.fsum(small),
-        math.fsum(medhigh),
-        math.fsum(bstar),
-        math.fsum(astar),
-        math.fsum(aref),
-        identity,
-        sorted(bad),
-    )
+            identity += abs(-d - (c + 1 - a_st))
+    return (*map(math.fsum, (small, medhigh, bstar, astar, aref)), identity)
 
 
 def _ledger_partials(n: int, workers: int) -> list:
-    census = _square_census(n)
-    return _map_blocks(_ledger_block, [(*b, *census) for b in _blocks(n)], workers)
+    return _map_blocks(_ledger_block, _blocks(n), workers)
 
 
 def _two_term(n: int) -> float:
@@ -484,7 +479,7 @@ def decomposition_report(n: int, workers: int = 1) -> DecompositionReport:
     if n < 2:
         raise InvalidRangeError("decomposition_report needs n >= 2")
     require_within_ceiling(n)
-    small, medhigh, bstar, astar, aref, identity, bad = zip(*_ledger_partials(n, workers))
+    small, medhigh, bstar, astar, aref, identity = zip(*_ledger_partials(n, workers))
     return DecompositionReport(
         n=n,
         small_sum=math.fsum(small),
@@ -492,7 +487,7 @@ def decomposition_report(n: int, workers: int = 1) -> DecompositionReport:
         beta_star_sum=math.fsum(bstar),
         alpha_star_sum=math.fsum(astar),
         two_correction=_two_term(n),
-        bad_primes=tuple(p for block in bad for p in block),
+        bad_primes=tuple(square_divisor_primes(n)),
         beta_star_reference=float(n),
         alpha_star_reference=math.fsum(aref),
         identity_residue=sum(identity),

@@ -325,6 +325,33 @@ def test_equisum_and_grid_commands_refuse_past_their_ceilings_at_once(argv, refu
     assert (proc.stdout, proc.stderr) == ("", f"error: {refusal}\n")
 
 
+@pytest.mark.parametrize(
+    "argv", [["--n", "1000000000000"], ["--grid", "100:1000000000000:10"]], ids=["n", "grid"]
+)
+def test_discrepancy_refuses_past_its_ceiling_at_once(argv):
+    # one Fraction pair per point: without the ceiling the child would fill
+    # its memory limit or run into the timeout
+    src = os.path.dirname(os.path.dirname(quadlcm.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "quadlcm", "discrepancy", *argv],
+        capture_output=True, text=True, timeout=10, preexec_fn=_limit_memory,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 2
+    refusal = "n must be at most the work ceiling 10000000, got n = 1000000000000"
+    assert (proc.stdout, proc.stderr) == ("", f"error: {refusal}\n")
+
+
+def test_discrepancy_help_states_its_ceiling(capsys):
+    from quadlcm.discrepancy import SAMPLE_MAX_N
+
+    with pytest.raises(SystemExit):
+        cli.main(["discrepancy", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert f"--n N at most {SAMPLE_MAX_N}," in text
+    assert f"start:stop:factor, stop at most {SAMPLE_MAX_N}," in text
+
+
 @pytest.mark.parametrize("p", [9, 1, 21, 4, 0, -3])
 def test_orders_rejects_non_prime_p(p):
     # a separate process, so a hang in the root search fails on the timeout

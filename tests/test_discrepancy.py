@@ -245,6 +245,25 @@ def test_decay_scan_shape():
         decay_scan([1, 100, 1000])
 
 
+def test_sample_refuses_n_past_its_ceiling_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("work started before the ceiling check")
+
+    monkeypatch.setattr(discrepancy_module, "prime_roots", refuse)
+    monkeypatch.setattr(discrepancy_module, "count_primes", refuse)
+    ceiling = discrepancy_module.SAMPLE_MAX_N
+    assert ceiling >= 10**7
+    for call in (
+        lambda: collect_fractions(ceiling + 1),
+        lambda: discrepancy(ceiling + 1),
+        lambda: decay_scan([100, 1000, ceiling + 1]),
+    ):
+        with pytest.raises(InvalidRangeError, match="work ceiling"):
+            call()
+    # an empty grid has no last point, and nothing to refuse
+    assert decay_scan([]).reports == ()
+
+
 # every consumer of roots.prime_roots pinned with ==, so that a change to
 # the stream (its window edges, p = 2, the p ≡ 3 mod 4 primes) shows
 CENTERED_PINS = {1: 0.5, 2: 0.0, 10: 0.2850678733031674, 10**4: -1.418183083687301}

@@ -288,7 +288,10 @@ def test_log_lcm_exact_reads_neither_order_counts_nor_the_census(monkeypatch):
 
 
 def test_folds_take_order_counts_only_below_p0_and_at_the_census(monkeypatch):
-    # the ledger fold; the lcm fold never calls `_order_counts` (above)
+    # `square_divisor_primes` is the one fold that reads beta: it lifts the
+    # medium primes up to p0 and takes those above p0 from the census.
+    # Neither block fold calls `_order_counts` (above and below), so the
+    # decomposition reads it only through its bad primes.
     n = 10**5
     p0, census = _square_census(n)
     seen = []
@@ -299,11 +302,29 @@ def test_folds_take_order_counts_only_below_p0_and_at_the_census(monkeypatch):
         return counts(p, n, nu)
 
     monkeypatch.setattr(orders, "_order_counts", recorded)
-    decomposition_report(n)
-    lifted = [p for p, _ in prime_roots(0, p0)]
+    bad = square_divisor_primes(n)
+    lifted = [p for p, _ in prime_roots(0, min(n, p0)) if p**3 >= n * n]
     assert len(set(seen)) == len(seen)
-    assert sorted(seen) == sorted([*lifted, *census])
-    assert len(seen) == 609 + 2
+    assert sorted(seen) == sorted(lifted)
+    assert len(seen) == 451
+    assert set(census) <= set(bad) and not set(census) & set(seen)
+    seen.clear()
+    decomposition_report(n)
+    assert sorted(seen) == sorted(lifted)
+
+
+def test_ledger_blocks_read_neither_order_counts_nor_the_census(monkeypatch):
+    # the ledger sums the lcm fold's level excess; beta_star is 1 at every
+    # stream prime, and the bad primes come from `square_divisor_primes`
+    def refuse(*args):
+        raise AssertionError("the ledger blocks read beta")
+
+    monkeypatch.setattr(orders, "_order_counts", refuse)
+    monkeypatch.setattr(orders, "_square_census", refuse)
+    assert _ledger_partials(10**5, 1) == [
+        (573599.6679375746, 0.0, 98605.83751766937, 448250.03717564186,
+         448729.3341028841, 0)
+    ]
 
 
 def test_no_medium_prime_meets_a_second_level():
@@ -317,8 +338,9 @@ def test_the_ledger_and_square_divisor_census_read_the_census(monkeypatch):
     # An empty census takes 10301 and 33461 at beta = 1.  log L_n cannot
     # tell: at p² > 2n every level past the first has one root ≤ n, so it
     # adds one to alpha and one to beta, and alpha − beta = alpha_star − 1
-    # whatever beta is.  The ledger's bad primes and `square_divisor_primes`
-    # read beta itself.  (correction, log_L) was pinned before the census.
+    # whatever beta is.  `square_divisor_primes` reads beta itself, and the
+    # decomposition takes its bad primes from it, so both lose the two.
+    # (correction, log_L) was pinned before the census.
     lcm_pin = (957900.5334763639, 1144699.2121582786)
     without = (2689, 2909, 2917, 3137, 3793, 4289, 5741)
     ev = log_lcm_exact(10**5)
