@@ -34,8 +34,8 @@ from .errors import InvalidRangeError
 from .dirichlet import L4, LAMBDA, ZETA, neg_log_deriv
 # unused here, but kept bound: the benchmark probe times the series by them
 from .dirichlet import neg_log_deriv_l4, neg_log_deriv_zeta  # noqa: F401
-from .orders import log_lcm_exact, require_within_ceiling
-from .primes import PSI_MAX_N, _require_within, iter_primes, iter_primes_one_mod_four
+from .orders import MAX_N, log_lcm_exact
+from .primes import MAX_P_MAX, PSI_MAX_N, _require_within, iter_primes, iter_primes_one_mod_four
 from .summation import CONTEXT, GAMMA, LN2
 
 CHAR_TRIVIAL = "trivial"
@@ -52,10 +52,6 @@ HALF_LOG2 = 0.5 * math.log(2.0)
 # are S's own tail Σ_{k>64} P_quad(k), each once (the first exception is
 # p^(−128) at p ≡ 3 mod 4).  A deeper S would count those powers twice.
 _ARGUMENT_CUTOFF = 64
-
-# Work ceiling of naive compute_B: about 0.06 us per unit of p_max (one
-# segmented sieve pass, flat memory), so 10^8 takes about 6 s.
-MAX_P_MAX = 10**8
 
 
 @dataclass(frozen=True)
@@ -293,7 +289,7 @@ def residual_scan(
         raise InvalidRangeError("grid entries must be at least 1")
     if not 0.0 < theta < 4.0 / 9.0:
         raise InvalidRangeError("theta must lie strictly inside (0, 4/9)")
-    require_within_ceiling(grid[-1])
+    _require_within(grid[-1], MAX_N)
     b_value = compute_B("accelerated").value
     out: list[ResidualReport] = []
     for n in grid:

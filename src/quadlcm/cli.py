@@ -8,22 +8,17 @@ Conventions shared by every subcommand:
   wall times and the sha256 of the data file,
 * single-value commands print key=value lines and write a JSON document
   when --out is given,
-* exit codes: 2 for invalid flags, parameter validation or an unwritable
-  --out, 3 when the exact-integer oracle cap is exceeded, 4 on modulus
-  overflow,
-* a work ceiling stated in --help refuses an oversize input before any
-  work starts (exit 2): --p-max of constant-b, the n of psi and counts
-  and the last mertens and charsum grid point (primes.PSI_MAX_N), the n
-  of lcm, decomp, badprimes and the last residuals and centered grid
-  point (roots.MAX_N), the n or last grid point of discrepancy
-  (discrepancy.SAMPLE_MAX_N), and the window of roots and equisum,
+* exit codes: 2 for invalid flags, parameter validation, an input past a
+  work ceiling or an unwritable --out, 3 when the exact-integer oracle cap
+  is exceeded, 4 on modulus overflow,
 * verify prints one PASS/FAIL line per check, or with --json one JSON
   object, and exits 1 when a check fails.
 
 Each data command is one row of COMMANDS: it names the one submodule its
-handler computes with, and the handler only computes and returns (key=value
-line or None, Table or JSON object); run_command imports that submodule and
-does the timing, printing and writing for all of them.
+handler computes with and its work ceilings, which --help states.  The
+handler only computes and returns (key=value line or None, Table or JSON
+object); run_command refuses an input past a ceiling before any work,
+imports that submodule and does the timing, printing and writing.
 A run imports only its own command's submodule and what that imports.
 
 The worker count is the --workers flag alone (default 1); `orders` refuses
@@ -42,12 +37,15 @@ import sys
 import time
 from dataclasses import asdict
 from importlib import import_module
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import OracleCapError, QuadlcmError, RangeOverflowError
-from .primes import _require_within
+from .errors import QuadlcmError
+from .primes import (COUNTS_MAX_N, MAX_P_MAX, ORACLE_MAX_N, PSI_MAX_N, SAMPLE_MAX_N,
+                     _require_within)
 from .reports import RunManifest, format_value, render_csv, render_json, write_report
+from .roots import MAX_N, ROOTS_MAX_HI, ROOTS_MAX_WIDTH
 from .summation import GAMMA, geometric
 
 
@@ -62,15 +60,29 @@ class Table(NamedTuple):
     rows: list
 
 
+class Ceiling(NamedTuple):
+    """A work ceiling: the --help of `flag` states `bound` after `words`,
+    with its measured `cost`, and run_command refuses read(args) past it,
+    calling it `name`.  read is None where the library refuses it instead."""
+
+    flag: str
+    words: str
+    bound: int
+    cost: str
+    read: Callable | None
+    name: str = "n"
+
+
 class Command(NamedTuple):
-    """One data command.  run_command imports the quadlcm submodule named
-    by `module` and calls handler(that submodule, args)."""
+    """One data command: run_command calls handler(the quadlcm submodule
+    named by `module`, args)."""
 
     name: str
     module: str
     handler: Callable
     help: str
     flags: list
+    ceilings: list
 
 
 def parse_grid(spec: str) -> list[int]:
@@ -83,9 +95,7 @@ def parse_grid(spec: str) -> list[int]:
     except ValueError:
         raise UsageError(f"grid parts must be integers, got {spec!r}") from None
     if start < 1 or stop < start or factor < 2:
-        raise UsageError(
-            "grid needs start >= 1, stop >= start, factor >= 2"
-        )
+        raise UsageError("grid needs start >= 1, stop >= start, factor >= 2")
     return geometric(start, stop, factor)
 
 
@@ -97,6 +107,10 @@ def run_command(args: argparse.Namespace) -> int:
     manifest.
     """
     command = args.func
+    for ceiling in command.ceilings:
+        value = None if ceiling.read is None else ceiling.read(args)
+        if value is not None:
+            _require_within(value, ceiling.bound, ceiling.name)
     # imported before the clock starts, so the compute phase is compute only
     module = import_module(f".{command.module}", __package__)
     t0 = time.perf_counter()
@@ -115,13 +129,8 @@ def run_command(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         digest = write_report(args.out, text)
         wall["write"] = time.perf_counter() - t0
-        manifest = RunManifest(
-            command=args.command,
-            version=__version__,
-            config=config,
-            wall_seconds=wall,
-            files={os.path.basename(args.out): digest},
-        )
+        manifest = RunManifest(command=args.command, version=__version__, config=config,
+                               wall_seconds=wall, files={os.path.basename(args.out): digest})
         manifest.write_next_to(args.out)
     except OSError as exc:
         raise UsageError(f"cannot write {args.out}: {exc.strerror or exc}") from None
@@ -150,12 +159,8 @@ def cmd_roots(roots, args):
 
 
 def cmd_orders(orders, args):
-    prof = orders.order_profile(args.p, args.n)
-    line = (
-        f"p={prof.p} n={prof.n} alpha={prof.alpha} beta={prof.beta} "
-        f"alpha_star={prof.alpha_star} beta_star={prof.beta_star}"
-    )
-    return line, asdict(prof)
+    prof = asdict(orders.order_profile(args.p, args.n))
+    return " ".join(f"{key}={value}" for key, value in prof.items()), prof
 
 
 def cmd_lcm(orders, args):
@@ -197,7 +202,6 @@ def cmd_discrepancy(discrepancy, args):
     if args.n is not None and args.grid is not None:
         raise UsageError("discrepancy takes --n or --grid, not both")
     grid = [args.n] if args.grid is None else parse_grid(args.grid)
-    _require_within(grid[-1], discrepancy.SAMPLE_MAX_N)
     rows = []
     for n in grid:
         rep = discrepancy.discrepancy(n)
@@ -210,12 +214,8 @@ def cmd_discrepancy(discrepancy, args):
 
 
 # --g choice -> the discrepancy function that builds the test function
-_TEST_FUNCTIONS = {
-    "one": "constant_one",
-    "t": "identity_map",
-    "t2": "square_map",
-    "tent": "tent_map",
-}
+_TEST_FUNCTIONS = {"one": "constant_one", "t": "identity_map", "t2": "square_map",
+                   "tent": "tent_map"}
 
 
 def cmd_equisum(discrepancy, args):
@@ -229,10 +229,8 @@ def cmd_equisum(discrepancy, args):
 
 
 def cmd_centered(discrepancy, args):
-    grid = parse_grid(args.grid)
-    _require_within(grid[-1], discrepancy.MAX_N)
     rows = []
-    for n in grid:
+    for n in parse_grid(args.grid):
         value = discrepancy.centered_fraction_sum(n)
         normalized = abs(value) * math.log(n) ** 1.4 / n if n > 1 else 0.0
         rows.append((n, value, normalized))
@@ -240,10 +238,8 @@ def cmd_centered(discrepancy, args):
 
 
 def cmd_mertens(asymptotics, args):
-    grid = parse_grid(args.grid)
-    _require_within(grid[-1], asymptotics.PSI_MAX_N, "x")
     rows = []
-    for x in grid:
+    for x in parse_grid(args.grid):
         value = asymptotics.mertens_log_sum(x)
         reference = math.log(x / 2.0) - float(GAMMA)
         rows.append((x, value, reference, value - reference))
@@ -251,11 +247,9 @@ def cmd_mertens(asymptotics, args):
 
 
 def cmd_charsum(asymptotics, args):
-    grid = parse_grid(args.grid)
-    _require_within(grid[-1], asymptotics.PSI_MAX_N, "x")
     limit = asymptotics.compute_B("accelerated").s_value
     rows = []
-    for x in grid:
+    for x in parse_grid(args.grid):
         value = asymptotics.character_log_sum(x)
         rows.append((x, value, limit, value - limit))
     return None, Table(("x", "sum", "limit", "deviation"), rows)
@@ -263,16 +257,13 @@ def cmd_charsum(asymptotics, args):
 
 def cmd_constant_b(asymptotics, args):
     ev = asymptotics.compute_B(args.mode, p_max=args.p_max)
-    line = (
-        f"mode={ev.mode} B={format_value(ev.value)} "
-        f"tail_bound={format_value(ev.tail_bound)}"
-    )
+    line = f"mode={ev.mode} B={format_value(ev.value)} tail_bound={format_value(ev.tail_bound)}"
     return line, asdict(ev)
 
 
 def cmd_residuals(asymptotics, args):
-    grid = parse_grid(args.grid)
-    reps = asymptotics.residual_scan(grid, theta=args.theta, workers=args.workers)
+    reps = asymptotics.residual_scan(parse_grid(args.grid), theta=args.theta,
+                                     workers=args.workers)
     rows = [(r.n, r.log_L, r.main, r.r, r.normalized) for r in reps]
     return None, Table(("n", "log_L", "main", "r", "r_normalized"), rows)
 
@@ -300,74 +291,86 @@ def _flag(*names: str, **kwargs) -> tuple:
     return names, kwargs
 
 
+def _stop(args):
+    # a grid is refused at its last point, before its first is computed
+    return None if args.grid is None else parse_grid(args.grid)[-1]
+
+
+def _on_n(bound: int, cost: str) -> Ceiling:
+    return Ceiling("--n", "at most", bound, cost, attrgetter("n"))
+
+
+def _on_stop(bound: int, cost: str, name: str = "n") -> Ceiling:
+    return Ceiling("--grid", "stop at most", bound, cost, _stop, name)
+
+
+def _stated(text: str | None, ceilings: list) -> str:
+    """A flag's --help: its own text, its bounds, then their costs."""
+    bounds = " and ".join(f"{c.words} {c.bound}" for c in ceilings)
+    return ", ".join(filter(None, (text, bounds, " and ".join(c.cost for c in ceilings))))
+
+
 _N = _flag("--n", type=int, required=True)
-# the work ceiling roots.MAX_N of the (p, ν) folds
-_N_FOLD = _flag("--n", type=int, required=True,
-                help="at most 1000000000, about 0.15 µs per unit of n serially")
-# the work ceilings primes.PSI_MAX_N and primes.COUNTS_MAX_N
-_N_PSI = _flag("--n", type=int, required=True,
-               help="at most 10000000000, about 20 ns per unit of n")
-_N_COUNTS = _flag("--n", type=int, required=True,
-                  help="at most 50000000000, about 4 ns per unit of n")
-# the work ceilings primes.PSI_MAX_N of mertens and charsum and roots.MAX_N
-# of centered
-_GRID_PRIMES = _flag("--grid", required=True,
-                     help="start:stop:factor, stop at most 10000000000, "
-                          "about 30 ns per unit of stop")
-_GRID_CENTERED = _flag("--grid", required=True,
-                       help="start:stop:factor, stop at most 1000000000, "
-                            "about 0.1 µs per unit of stop")
-# the work ceiling discrepancy.SAMPLE_MAX_N of --n and the last --grid point
-_SAMPLE_CEILING = "at most 10000000, about 0.6 µs and 18 bytes per unit of n"
+_GRID = _flag("--grid", required=True, help="start:stop:factor")
 _WORKERS = _flag("--workers", type=int, default=1,
                  help="worker processes, capped at the CPU count (default: 1)")
-# the work ceilings roots.ROOTS_MAX_HI and roots.ROOTS_MAX_WIDTH of roots
-# and equisum
-_WINDOW = [_flag("--lo", type=int, required=True),
-           _flag("--hi", type=int, required=True,
-                 help="at most 1000000000000 and at most --lo + 4000000, "
-                      "about 5 s and 100 MB at either ceiling")]
+_WINDOW = [_flag("--lo", type=int, required=True), _flag("--hi", type=int, required=True)]
+_WINDOW_CEILINGS = [
+    Ceiling("--hi", "at most", ROOTS_MAX_HI, "about √hi/2 lattice rows per segment",
+            attrgetter("hi"), "hi"),
+    Ceiling("--hi", "at most --lo +", ROOTS_MAX_WIDTH, "0.6 µs per unit of hi - lo",
+            lambda args: args.hi - args.lo, "hi - lo"),
+]
+_FOLD = _on_n(MAX_N, "about 0.15 µs per unit of n serially")
+_SAMPLE = "about 0.6 µs and 18 bytes per unit of n"
 
 # build_parser adds --out to every entry.
 COMMANDS = [
-    Command("psi", "primes", cmd_psi, "Chebyshev psi(n) = log lcm(1..n)", [_N_PSI]),
-    Command("counts", "primes", cmd_counts, "prime counts pi(n) and pi1(n)", [_N_COUNTS]),
+    Command("psi", "primes", cmd_psi, "Chebyshev psi(n) = log lcm(1..n)", [_N],
+            [_on_n(PSI_MAX_N, "about 20 ns per unit of n")]),
+    Command("counts", "primes", cmd_counts, "prime counts pi(n) and pi1(n)", [_N],
+            [_on_n(COUNTS_MAX_N, "about 4 ns per unit of n")]),
     Command("roots", "roots", cmd_roots, "roots of x²+1 over primes in (lo, hi]",
-            _WINDOW),
+            _WINDOW, _WINDOW_CEILINGS),
     Command("orders", "orders", cmd_orders, "alpha/beta order profile of one prime",
-            [_flag("--p", type=int, required=True), _N]),
+            [_flag("--p", type=int, required=True), _N], []),
     Command("lcm", "orders", cmd_lcm, "exact log L_n via the prime-order correction",
-            [_N_FOLD, _WORKERS]),
+            [_N, _WORKERS], [_FOLD]),
+    # the library refuses n past the ceiling only after n past --cap (exit 3)
     Command("brute", "orders", cmd_brute, "exact-integer lcm oracle (capped)",
             [_N, _flag("--cap", type=int, default=None,
-                       help="largest n the oracle takes (default: orders.ORACLE_CAP_DEFAULT)")]),
+                       help="largest n the oracle takes (default: orders.ORACLE_CAP_DEFAULT)")],
+            [Ceiling("--n", "at most", ORACLE_MAX_N, "about 80 s at the bound, growing as n^2.4",
+                     None)]),
     Command("badprimes", "orders", cmd_badprimes,
-            "medium primes whose square divides some i²+1", [_N_FOLD]),
+            "medium primes whose square divides some i²+1", [_N], [_FOLD]),
     Command("decomp", "orders", cmd_decomp, "correction pieces split at the n^(2/3) boundary",
-            [_N_FOLD, _WORKERS]),
+            [_N, _WORKERS], [_FOLD]),
     Command("discrepancy", "discrepancy", cmd_discrepancy,
             "exact star discrepancy of root fractions",
-            [_flag("--n", type=int, default=None, help=_SAMPLE_CEILING),
-             _flag("--grid", default=None,
-                   help=f"start:stop:factor, stop {_SAMPLE_CEILING}")]),
+            [_flag("--n", type=int, default=None),
+             _flag("--grid", default=None, help="start:stop:factor")],
+            [_on_n(SAMPLE_MAX_N, _SAMPLE), _on_stop(SAMPLE_MAX_N, _SAMPLE)]),
     Command("equisum", "discrepancy", cmd_equisum,
             "weighted sum of a test function over root fractions",
-            [_flag("--g", choices=sorted(_TEST_FUNCTIONS), required=True), *_WINDOW]),
+            [_flag("--g", choices=sorted(_TEST_FUNCTIONS), required=True), *_WINDOW],
+            _WINDOW_CEILINGS),
     Command("centered", "discrepancy", cmd_centered, "centered fractional sums on a grid",
-            [_GRID_CENTERED]),
+            [_GRID], [_on_stop(MAX_N, "about 0.1 µs per unit of stop")]),
     Command("mertens", "asymptotics", cmd_mertens, "Mertens-type log sums on a grid",
-            [_GRID_PRIMES]),
+            [_GRID], [_on_stop(PSI_MAX_N, "about 20 ns per unit of stop", "x")]),
     Command("charsum", "asymptotics", cmd_charsum, "character-weighted log sums on a grid",
-            [_GRID_PRIMES]),
+            [_GRID], [_on_stop(PSI_MAX_N, "about 30 ns per unit of stop", "x")]),
+    # compute_B refuses p_max in its own words, below 1000 as well
     Command("constant-b", "asymptotics", cmd_constant_b, "the linear-term constant B",
             [_flag("--mode", choices=("accelerated", "naive"), default="accelerated"),
-             _flag("--p-max", dest="p_max", type=int, default=10**6,
-                   help="naive mode: 1000 to 100000000, about 0.06 µs per unit")]),
+             _flag("--p-max", dest="p_max", type=int, default=10**6, help="naive mode")],
+            [Ceiling("--p-max", "1000 to", MAX_P_MAX, "about 0.06 µs per unit", None,
+                     "p_max")]),
     Command("residuals", "asymptotics", cmd_residuals,
             "log L_n minus the n log n + B n main term",
-            [_flag("--grid", required=True,
-                   help="start:stop:factor, stop at most 1000000000 (as lcm --n)"),
-             _flag("--theta", type=float, default=0.44), _WORKERS]),
+            [_GRID, _flag("--theta", type=float, default=0.44), _WORKERS],
+            [_on_stop(MAX_N, "about 0.15 µs per unit of stop serially, as lcm")]),
 ]
 
 
@@ -381,6 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
     for command in COMMANDS:
         p = sub.add_parser(command.name, help=command.help)
         for names, kwargs in command.flags:
+            ceilings = [c for c in command.ceilings if c.flag == names[0]]
+            if ceilings:
+                kwargs = {**kwargs, "help": _stated(kwargs.get("help"), ceilings)}
             p.add_argument(*names, **kwargs)
         p.add_argument("--out", default=None, help="write the report to this path")
         p.set_defaults(func=command)
@@ -398,15 +404,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return cmd_verify(args) if args.command == "verify" else run_command(args)
-    except OracleCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RangeOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except (QuadlcmError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -21,13 +21,8 @@ from operator import itemgetter
 from typing import NamedTuple, Protocol
 
 from .errors import EmptySampleError, InvalidRangeError
-from .primes import _require_within, count_primes
+from .primes import SAMPLE_MAX_N, _require_within, count_primes
 from .roots import MAX_N, prime_roots, require_root_window
-
-# collect_fractions takes n ≤ SAMPLE_MAX_N: it keeps two Fractions per
-# sample point, about 0.6 µs and 18 bytes per unit of n (6.1 s and 179 MB
-# at 10⁷, single runs).  A leaner sample will change both and restate it.
-SAMPLE_MAX_N = 10**7
 
 
 @dataclass(frozen=True)

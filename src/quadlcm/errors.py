@@ -27,9 +27,13 @@ class NotOneModFourError(QuadlcmError, ValueError):
 class RangeOverflowError(QuadlcmError, OverflowError):
     """A requested prime power exceeds the supported integer range (2^63-1)."""
 
+    exit_code = 4
+
 
 class OracleCapError(QuadlcmError, ValueError):
     """A brute-force oracle was asked to run beyond its configured cap."""
+
+    exit_code = 3
 
 
 class EmptySampleError(QuadlcmError, ValueError):

@@ -51,7 +51,8 @@ from typing import Callable, Sequence
 
 from .errors import InvalidRangeError, OracleCapError
 # iter_primes is not called here; it stays bound for perfbench/probe.py
-from .primes import DEFAULT_SEGMENT, _require_within, is_prime, iter_primes, require_prime
+from .primes import (DEFAULT_SEGMENT, ORACLE_MAX_N, _require_within, is_prime, iter_primes,
+                     require_prime)
 from .roots import MAX_N, _lift, _lifted_root, prime_roots, roots_mod_prime_power
 from .summation import (
     CONTEXT,
@@ -239,11 +240,6 @@ def order_profile(p: int, n: int) -> OrderProfile:
     )
 
 
-def require_within_ceiling(n: int) -> None:
-    """Raise InvalidRangeError, before any work, for n past MAX_N."""
-    _require_within(n, MAX_N)
-
-
 def _map_blocks(fn: Callable, blocks: Sequence, workers: int) -> list:
     """Map fn over fixed blocks, serially or on a pool, in block order.
 
@@ -426,7 +422,7 @@ def log_lcm_exact(n: int, workers: int = 1) -> LcmEvaluation:
     """Exact log L_n via the p ≤ 2n correction; never an asymptotic."""
     if n < 1:
         raise InvalidRangeError("log_lcm_exact needs n >= 1")
-    require_within_ceiling(n)
+    _require_within(n, MAX_N)
     logp = log_P(n)
     two = _two_term(n)
     correction = math.fsum([two, *_correction_partials(n, workers)])
@@ -438,8 +434,9 @@ def log_lcm_exact(n: int, workers: int = 1) -> LcmEvaluation:
 def log_lcm_bruteforce(n: int, cap: int = ORACLE_CAP_DEFAULT) -> float:
     """Independent oracle: log of the exact big-integer lcm.
 
-    Quadratic-time in n, hence capped; raises OracleCapError past the cap
-    rather than silently grinding.
+    Superquadratic in n, hence capped; raises OracleCapError past the cap
+    rather than silently grinding, and InvalidRangeError for an n within
+    the cap but past the work ceiling ORACLE_MAX_N, whatever the cap.
     """
     if n < 1:
         raise InvalidRangeError("log_lcm_bruteforce needs n >= 1")
@@ -447,6 +444,7 @@ def log_lcm_bruteforce(n: int, cap: int = ORACLE_CAP_DEFAULT) -> float:
         raise OracleCapError(
             f"exact-integer oracle capped at n = {cap}, got n = {n}"
         )
+    _require_within(n, ORACLE_MAX_N)
     acc = 1
     for i in range(1, n + 1):
         acc = math.lcm(acc, i * i + 1)
@@ -463,7 +461,7 @@ def square_divisor_primes(n: int) -> list[int]:
     """
     if n < 1:
         raise InvalidRangeError("square_divisor_primes needs n >= 1")
-    require_within_ceiling(n)
+    _require_within(n, MAX_N)
     nn = n * n
     p0, census = _square_census(n)
     lifted = (
@@ -478,7 +476,7 @@ def decomposition_report(n: int, workers: int = 1) -> DecompositionReport:
     """All named pieces of the correction, split at the small/medium boundary."""
     if n < 2:
         raise InvalidRangeError("decomposition_report needs n >= 2")
-    require_within_ceiling(n)
+    _require_within(n, MAX_N)
     small, medhigh, bstar, astar, aref, identity = zip(*_ledger_partials(n, workers))
     return DecompositionReport(
         n=n,

@@ -12,9 +12,8 @@ number: `iter_primes` compresses the odd numbers by it, and `count_primes`,
 stride.  The 1 mod 4 mask holds one byte per number ≡ 1 mod 4, half as
 many: `iter_primes_one_mod_four` compresses those numbers by it, and the
 (p, ν) stream of `roots` gathers it at sums of two squares, so both hold a
-quarter of the window.  A
-segment's mask is freed before the next segment is sieved, so one is alive
-at a time.
+quarter of the window.  A segment's mask is freed before the next segment
+is sieved, so one is alive at a time.
 """
 
 from __future__ import annotations
@@ -30,11 +29,17 @@ from .errors import InvalidRangeError
 # 2^21 integers (2^20 odd residues) per segment: fits L2 cache comfortably.
 DEFAULT_SEGMENT = 1 << 21
 
-# Work ceilings of chebyshev_psi and prime_counts, refused before any work:
-# at 10^8 and 10^9 they cost about 20 ns and 4 ns per unit of n in flat
-# memory, so each ceiling is a few minutes.
+# Work ceilings, each refused before any work; `cli.COMMANDS` states each
+# with its measured cost per unit.  chebyshev_psi and prime_counts walk the
+# primes in flat memory, a few minutes at either ceiling; the discrepancy
+# sample keeps two Fractions per point (6.1 s and 179 MB at 10⁷, single
+# runs; a leaner sample will restate it); naive compute_B is one sieve pass
+# to p_max (about 6 s); log_lcm_bruteforce grows as n^2.4 (80 s at 10⁵).
 PSI_MAX_N = 10**10
 COUNTS_MAX_N = 5 * 10**10
+SAMPLE_MAX_N = 10**7
+MAX_P_MAX = 10**8
+ORACLE_MAX_N = 10**5
 
 
 @dataclass(frozen=True)

@@ -49,19 +49,16 @@ _MACHINE_MAX = (1 << 63) - 1
 # this large is refused before p^a is built
 _MAX_EXPONENT = 28
 
-# Work ceilings of a window (lo, hi] of root_stream and of
-# discrepancy.equidistribution_sum, refused before any work.  A window costs
-# about √hi/2 lattice rows per segment (0.5 s a segment at hi = 10^12) and
-# 0.6 µs per unit of width, and the `roots` command keeps about 23 bytes of
-# rows per unit of width: at either ceiling a run takes about 5 s and 100 MB.
+# Work ceilings, refused before any work; `cli.COMMANDS` states each with
+# its measured cost per unit.  A window (lo, hi] of root_stream and of
+# discrepancy.equidistribution_sum: at either ceiling the `roots` command
+# takes about 5 s and 100 MB (0.5 s a segment at hi = 10^12).
 ROOTS_MAX_HI = 10**12
 ROOTS_MAX_WIDTH = 4 * 10**6
-
-# Work ceiling of the consumers that walk the stream to 2n: the orders folds
+# The consumers that walk the stream to 2n, the orders folds
 # (log_lcm_exact, decomposition_report, square_divisor_primes) and
-# discrepancy.centered_fraction_sum.  The serial lcm fold costs about
-# 0.15 µs per unit of n at 10^7 and at 10^8 in flat memory, so 10^9 takes a
-# few minutes.
+# discrepancy.centered_fraction_sum: a few minutes serially at the ceiling,
+# in flat memory.
 MAX_N = 10**9
 
 

@@ -116,6 +116,19 @@ def test_discrepancy_is_pinned(n):
     assert got == DISCREPANCY_PINS[n]
 
 
+def test_witness_tie_rule_is_pinned():
+    # the earliest extremes win ties and a rise replaces the fall only when
+    # strictly larger: the witness at n = 3, 4, 11 and 12 moves otherwise
+    digest = hashlib.sha256()
+    for n in range(2, 601):
+        rep = discrepancy(n)
+        w = rep.witness
+        digest.update(f"{n},{rep.D_exact},{w.u},{w.v},{w.u_from_left},{w.v_from_left}\n".encode())
+    assert digest.hexdigest() == (
+        "3b34072740cf90f4b12c814e46eebe17cca08c07874bdb5161cca3319ba28c4a"
+    )
+
+
 def test_discrepancy_of_sample_takes_prepared_input():
     sample = collect_fractions(13)
     rep = discrepancy_of_sample(sample)

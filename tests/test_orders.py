@@ -26,6 +26,7 @@ from quadlcm.orders import (
     _map_blocks,
     _order_counts,
     _square_census,
+    _two_term,
     alpha_exact,
     beta_exact,
     count_solutions_upto,
@@ -360,6 +361,16 @@ def test_bruteforce_cap():
         log_lcm_bruteforce(0)
 
 
+def test_bruteforce_refuses_n_past_its_ceiling_after_the_cap():
+    # the cap is checked first, so an n past both is still a cap error
+    ceiling = orders.ORACLE_MAX_N
+    with pytest.raises(OracleCapError):
+        log_lcm_bruteforce(10 * ceiling)
+    message = f"at most the work ceiling {ceiling}, got n = {ceiling + 1}"
+    with pytest.raises(InvalidRangeError, match=message):
+        log_lcm_bruteforce(ceiling + 1, cap=10 * ceiling)
+
+
 def test_preconditions():
     with pytest.raises(InvalidRangeError):
         log_lcm_exact(0)
@@ -441,6 +452,13 @@ def test_log_P_returns_a_finite_float_or_raises_in_bounded_time(n):
         else:
             with pytest.raises(InvalidRangeError, match=r"1 <= n < 2\*\*511"):
                 log_P(n)
+
+
+def test_lcm_correction_is_one_correctly_rounded_sum(monkeypatch):
+    # a left-to-right sum would lose the 1.0 against 1e16
+    partials = [1e16, 1.0, -1e16]
+    monkeypatch.setattr(orders, "_correction_partials", lambda n, workers: partials)
+    assert log_lcm_exact(10).correction == math.fsum([_two_term(10), *partials])
 
 
 def test_worker_count_never_changes_results():
