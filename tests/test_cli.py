@@ -176,28 +176,11 @@ def test_constant_b_has_no_depth_flag():
 
 # Rows without a work ceiling, and why none is needed.
 UNBOUNDED = {"orders": "one prime, at most log_p(n²) lifts"}
-# How --help states each flag's bounds, in the words of the per-command
-# help tests this one replaced.
+# How --help states each flag's bounds.
 _STATED = {"--n": "--n N at most {},", "--grid": "start:stop:factor, stop at most {},",
            "--hi": "--hi HI at most {} and at most --lo + {},", "--p-max": "1000 to {},"}
 # The flags a row needs beside its bounded ones; {over} is the bound + 1.
 _OTHER_FLAGS = {"brute": "--cap {over}", "equisum": "--g one", "constant-b": "--mode naive"}
-# The inputs of the per-command refusal tests this one replaced, by the
-# "command flag name" of the ceiling each passes: (flags, the refused value).
-_FAR = {
-    "psi --n n": ("--n 1000000000000", 10**12),
-    "counts --n n": ("--n 1000000000000", 10**12),
-    "roots --hi hi": ("--lo 0 --hi 10000000000000", 10**13),
-    "roots --hi hi - lo": ("--lo 1000000 --hi 100000000", 99 * 10**6),
-    "lcm --n n": ("--n 100000000000", 10**11),
-    "discrepancy --n n": ("--n 1000000000000", 10**12),
-    "discrepancy --grid n": ("--grid 100:1000000000000:10", 10**12),
-    "equisum --hi hi": ("--lo 100000000000000 --hi 100000000000100", 10**14 + 100),
-    "centered --grid n": ("--grid 1000:10000000000:10", 10**10),
-    "mertens --grid x": ("--grid 1000:100000000000:10", 10**11),
-    "charsum --grid x": ("--grid 1000:100000000000:10", 10**11),
-    "constant-b --p-max p_max": ("--p-max 1000000000000", None),
-}
 
 
 def _quadlcm(*argv, **kwargs):
@@ -212,43 +195,155 @@ def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
+def _assert_refused(argv, refusal):
+    # a separate process under a memory limit, so work started before the
+    # refusal fails on the timeout or the limit; a grid is refused at its
+    # last point before its first is computed
+    proc = _quadlcm(*argv.split(), timeout=10, preexec_fn=_limit_memory)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {refusal}\n")
+
+
+def _help_text(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    return " ".join(capsys.readouterr().out.split())
+
+
 def _past(ceiling):
-    """The flags that put a ceiling's input at its bound + 1, and that input."""
+    """The flags that put a ceiling's input at its bound + 1."""
     over = ceiling.bound + 1
     if ceiling.flag == "--grid":
-        return f"--grid {over}:{over}:10", over
+        return f"--grid {over}:{over}:10"
     if ceiling.name == "hi":
-        return f"--lo {over - 100} --hi {over}", over
+        return f"--lo {over - 100} --hi {over}"
     if ceiling.name == "hi - lo":
-        return f"--lo 0 --hi {over}", over
-    return f"{ceiling.flag} {over}", over
+        return f"--lo 0 --hi {over}"
+    return f"{ceiling.flag} {over}"
 
 
 @pytest.mark.parametrize("row", cli.COMMANDS, ids=[row.name for row in cli.COMMANDS])
 def test_every_row_states_and_refuses_its_ceilings(capsys, row):
     # a row without a ceiling fails here unless UNBOUNDED says why
     assert bool(row.ceilings) != (row.name in UNBOUNDED)
-    with pytest.raises(SystemExit):
-        cli.main([row.name, "--help"])
-    text = " ".join(capsys.readouterr().out.split())
+    text = _help_text(capsys, row.name)
     for ceiling in row.ceilings:
         bounds = [c.bound for c in row.ceilings if c.flag == ceiling.flag]
         assert _STATED[ceiling.flag].format(*bounds) in text
-        key = f"{row.name} {ceiling.flag} {ceiling.name}"
-        for flags, value in [_past(ceiling)] + ([_FAR[key]] if key in _FAR else []):
-            other = _OTHER_FLAGS.get(row.name, "").format(over=ceiling.bound + 1)
-            # a separate process under a memory limit, so work started before
-            # the refusal fails on the timeout or the limit; a grid is refused
-            # at its last point before its first is computed
-            proc = _quadlcm(row.name, *other.split(), *flags.split(), timeout=10,
-                            preexec_fn=_limit_memory)
-            if ceiling.name == "p_max":  # compute_B refuses in its own words
-                refusal = f"naive mode needs 1000 <= p_max <= {ceiling.bound}"
-            else:
-                refusal = (f"{ceiling.name} must be at most the work ceiling {ceiling.bound}, "
-                           f"got {ceiling.name} = {value}")
-            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {refusal}\n")
-    assert set(_FAR) <= {f"{r.name} {c.flag} {c.name}" for r in cli.COMMANDS for c in r.ceilings}
+        other = _OTHER_FLAGS.get(row.name, "").format(over=ceiling.bound + 1)
+        if ceiling.name == "p_max":  # compute_B refuses in its own words
+            refusal = f"naive mode needs 1000 <= p_max <= {ceiling.bound}"
+        else:
+            refusal = (f"{ceiling.name} must be at most the work ceiling {ceiling.bound}, "
+                       f"got {ceiling.name} = {ceiling.bound + 1}")
+        _assert_refused(f"{row.name} {other} {_past(ceiling)}", refusal)
+
+
+def test_constant_b_help_states_its_ceilings(capsys):
+    from quadlcm.asymptotics import MAX_P_MAX
+
+    assert f"1000 to {MAX_P_MAX}," in _help_text(capsys, "constant-b")
+
+
+def test_constant_b_refuses_past_its_ceilings_at_once():
+    _assert_refused("constant-b --mode naive --p-max 1000000000000",
+                    "naive mode needs 1000 <= p_max <= 100000000")
+
+
+def test_fold_commands_help_state_the_ceiling(capsys):
+    from quadlcm.orders import MAX_N
+
+    for command, stated in (("lcm", f"--n N at most {MAX_N},"),
+                            ("decomp", f"--n N at most {MAX_N},"),
+                            ("badprimes", f"--n N at most {MAX_N},"),
+                            ("residuals", f"stop at most {MAX_N},")):
+        assert stated in _help_text(capsys, command), command
+
+
+def test_lcm_refuses_past_the_ceiling_at_once():
+    # --workers is left at 1, so no pool could start
+    _assert_refused("lcm --n 100000000000",
+                    "n must be at most the work ceiling 1000000000, got n = 100000000000")
+
+
+def test_psi_and_counts_help_state_their_ceilings(capsys):
+    from quadlcm.primes import COUNTS_MAX_N, PSI_MAX_N
+
+    for command, ceiling in (("psi", PSI_MAX_N), ("counts", COUNTS_MAX_N)):
+        assert f"--n N at most {ceiling}," in _help_text(capsys, command), command
+
+
+@pytest.mark.parametrize("command", ["psi", "counts"])
+def test_psi_and_counts_refuse_past_their_ceilings_at_once(command):
+    ceiling = {"psi": 10**10, "counts": 5 * 10**10}[command]
+    _assert_refused(f"{command} --n 1000000000000",
+                    f"n must be at most the work ceiling {ceiling}, got n = 1000000000000")
+
+
+def test_roots_help_states_its_ceilings(capsys):
+    from quadlcm.roots import ROOTS_MAX_HI, ROOTS_MAX_WIDTH
+
+    stated = f"at most {ROOTS_MAX_HI} and at most --lo + {ROOTS_MAX_WIDTH},"
+    assert stated in _help_text(capsys, "roots")
+
+
+@pytest.mark.parametrize(
+    "lo, hi, refusal",
+    [
+        (0, 10**13, "hi must be at most the work ceiling 1000000000000, got hi = 10000000000000"),
+        (10**6, 10**8, "hi - lo must be at most the work ceiling 4000000, got hi - lo = 99000000"),
+    ],
+)
+def test_roots_refuses_past_its_ceilings_at_once(lo, hi, refusal):
+    _assert_refused(f"roots --lo {lo} --hi {hi}", refusal)
+
+
+def test_equisum_and_grid_commands_help_state_their_ceilings(capsys):
+    from quadlcm.primes import PSI_MAX_N
+    from quadlcm.roots import MAX_N, ROOTS_MAX_HI, ROOTS_MAX_WIDTH
+
+    for command, stated in (
+        ("equisum", f"at most {ROOTS_MAX_HI} and at most --lo + {ROOTS_MAX_WIDTH},"),
+        ("mertens", f"stop at most {PSI_MAX_N},"),
+        ("charsum", f"stop at most {PSI_MAX_N},"),
+        ("centered", f"stop at most {MAX_N},"),
+    ):
+        assert stated in _help_text(capsys, command), command
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        ("equisum --g one --lo 100000000000000 --hi 100000000000100",
+         "hi must be at most the work ceiling 1000000000000, got hi = 100000000000100"),
+        ("mertens --grid 1000:100000000000:10",
+         "x must be at most the work ceiling 10000000000, got x = 100000000000"),
+        ("charsum --grid 1000:100000000000:10",
+         "x must be at most the work ceiling 10000000000, got x = 100000000000"),
+        ("centered --grid 1000:10000000000:10",
+         "n must be at most the work ceiling 1000000000, got n = 10000000000"),
+    ],
+    ids=["equisum", "mertens", "charsum", "centered"],
+)
+def test_equisum_and_grid_commands_refuse_past_their_ceilings_at_once(argv, refusal):
+    _assert_refused(argv, refusal)
+
+
+@pytest.mark.parametrize(
+    "argv", ["--n 1000000000000", "--grid 100:1000000000000:10"], ids=["n", "grid"]
+)
+def test_discrepancy_refuses_past_its_ceiling_at_once(argv):
+    # one Fraction pair per point: without the ceiling the child would fill
+    # its memory limit or run into the timeout
+    _assert_refused(f"discrepancy {argv}",
+                    "n must be at most the work ceiling 10000000, got n = 1000000000000")
+
+
+def test_discrepancy_help_states_its_ceiling(capsys):
+    from quadlcm.discrepancy import SAMPLE_MAX_N
+
+    text = _help_text(capsys, "discrepancy")
+    assert f"--n N at most {SAMPLE_MAX_N}," in text
+    assert f"start:stop:factor, stop at most {SAMPLE_MAX_N}," in text
 
 
 @pytest.mark.parametrize("p", [9, 1, 21, 4, 0, -3])
